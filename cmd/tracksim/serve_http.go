@@ -26,6 +26,7 @@ import (
 
 	"disttrack"
 	"disttrack/internal/proto"
+	"disttrack/internal/rank"
 	"disttrack/internal/runtime"
 	"disttrack/internal/runtime/tcp"
 	"disttrack/internal/serve"
@@ -252,26 +253,6 @@ func distSnapshot(m runtime.Metrics) serve.Snapshot {
 	}
 }
 
-// bisectQuantile mirrors the facade's quantile-by-bisection for
-// coordinators that only answer rank queries (sampling). It runs inside
-// one inspection, so every probe sees the same protocol state.
-func bisectQuantile(rankFn func(float64) float64, q, lo, hi float64) float64 {
-	total := rankFn(math.Inf(1))
-	if total == 0 {
-		return math.NaN()
-	}
-	target := q * total
-	for i := 0; i < 64 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
-		mid := (lo + hi) / 2
-		if rankFn(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // distFuncs wires the distributed coordinator's query capabilities into
 // the serving surface. Only the deployment's own problem is exposed — a
 // count coordinator asked for ranks answers 404, not garbage. There is no
@@ -332,7 +313,7 @@ func distFuncs(shape *distConfig, coord proto.Coordinator, b *distBackend, qlo, 
 			}
 		} else { // sampling: bisect over the rank capability
 			f.QuantileFn = func(phi float64) (float64, error) {
-				return query(func() float64 { return bisectQuantile(co.Rank, phi, qlo, qhi) })
+				return query(func() float64 { return rank.Bisect(co.Rank)(phi, qlo, qhi) })
 			}
 		}
 	}

@@ -216,8 +216,10 @@ type Options struct {
 	// Concurrent back to sequential — clear Concurrent instead); any other
 	// Transport wins over it.
 	Concurrent bool
-	// SpaceProbeEvery controls how often per-site space is sampled at
-	// quiescent instants (0 = default 1024 arrivals).
+	// SpaceProbeEvery controls how often space is sampled at quiescent
+	// instants (0 = default 1024 arrivals). One probe reads every site's
+	// working space and the coordinator's running space ledger: O(K) site
+	// reads plus an O(1) coordinator read, whatever state has accumulated.
 	SpaceProbeEvery int
 	// ConcurrentIngest makes the tracker safe for concurrent use: any
 	// number of goroutines may call Observe/ObserveBatch and the query
@@ -505,7 +507,10 @@ type Metrics struct {
 	// concurrent transports probe on the same cadence after cascades
 	// quiesce, and always when Metrics is read).
 	MaxSiteSpace int
-	// MaxCoordSpace is the coordinator's high-water space in words.
+	// MaxCoordSpace is the coordinator's high-water space in words, sampled
+	// by the same probes. Coordinators keep their word count as a running
+	// ledger, so the read is O(1) (O(K) for the deterministic baselines)
+	// however much history they hold.
 	MaxCoordSpace int
 	// Dropped is the number of elements discarded by the concurrent
 	// ingestion frontend under IngestDrop (always 0 otherwise; after a

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"disttrack/internal/proto"
+	"disttrack/internal/rounds"
 	"disttrack/internal/sim"
 	"disttrack/internal/stats"
 	"disttrack/internal/workload"
@@ -339,5 +341,67 @@ func TestMessageWords(t *testing.T) {
 	}
 	if (DetReportMsg{}).Words() != 3 {
 		t.Fatal("DetReportMsg should be 3 words")
+	}
+}
+
+// walkWords is the full walk SpaceWords performed before the ledger.
+func walkWords(c *Coordinator) int {
+	w := c.rc.SpaceWords()
+	for _, r := range c.rnds {
+		for _, v := range r.all {
+			w += 2*len(v.cbar) + 2*len(v.d) + 1
+		}
+	}
+	return w
+}
+
+func TestSpaceLedgerMatchesWalkUnderRandomMessages(t *testing.T) {
+	// A seeded random message sequence — counter reports (items repeat, so
+	// most overwrite), samples, virtual-site resets, and doubling reports
+	// that open rounds — with the O(1) ledger held to the full walk after
+	// every message; then a snapshot restored into a fresh coordinator must
+	// carry the same ledger and the same estimates.
+	for seed := uint64(1); seed <= 8; seed++ {
+		const k = 5
+		cfg := Config{K: k, Eps: 0.1, Rescale: 1}
+		c := NewCoordinator(cfg)
+		rng := stats.New(seed)
+		reported := make([]int64, k)
+		for step := 0; step < 3000; step++ {
+			site := rng.Intn(k)
+			var m proto.Message
+			switch r := rng.Intn(100); {
+			case r < 45:
+				m = CounterMsg{Item: int64(rng.Intn(40)), Count: int64(1 + rng.Intn(100))}
+			case r < 85:
+				m = SampleMsg{Item: int64(rng.Intn(40))}
+			case r < 93:
+				m = ResetMsg{}
+			default:
+				reported[site] = 2*reported[site] + 1 + int64(rng.Intn(50))
+				m = rounds.UpMsg{N: reported[site]}
+			}
+			c.Receive(site, m, nil, func(proto.Message) {})
+			if got, want := c.SpaceWords(), walkWords(c); got != want {
+				t.Fatalf("seed %d step %d (%T): SpaceWords = %d, full walk says %d", seed, step, m, got, want)
+			}
+		}
+		if c.Round() == 0 {
+			t.Fatalf("seed %d: the sequence never changed round", seed)
+		}
+
+		restored := NewCoordinator(cfg)
+		c.SnapshotState(restored.RestoreState)
+		if got, want := restored.SpaceWords(), c.SpaceWords(); got != want {
+			t.Fatalf("seed %d: restored SpaceWords = %d, original %d", seed, got, want)
+		}
+		if got, want := restored.SpaceWords(), walkWords(restored); got != want {
+			t.Fatalf("seed %d: restored SpaceWords = %d, full walk says %d", seed, got, want)
+		}
+		for item := int64(0); item < 42; item++ {
+			if got, want := restored.Estimate(item), c.Estimate(item); got != want {
+				t.Fatalf("seed %d: restored Estimate(%d) = %v, original %v", seed, item, got, want)
+			}
+		}
 	}
 }

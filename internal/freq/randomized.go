@@ -261,6 +261,10 @@ type Coordinator struct {
 	rc   *rounds.Coordinator
 	rnds []*roundState
 
+	// words is the running space charge: one word per incarnation and two
+	// per stored counter or sample count, adjusted wherever one is created.
+	words int
+
 	// Restore cursors, live only while RestoreState streams snapshot
 	// records: snapV is the incarnation the next counter/sample records
 	// belong to, and snapFresh marks that the constructed round list has
@@ -273,28 +277,48 @@ type Coordinator struct {
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg.validate()
 	c := &Coordinator{cfg: cfg, rc: rounds.NewCoordinator(cfg.K)}
-	c.rnds = append(c.rnds, newRoundState(cfg.K, 1))
+	c.openRound(1)
 	return c
+}
+
+// openRound starts a round with one fresh incarnation per site.
+func (c *Coordinator) openRound(p float64) {
+	c.rnds = append(c.rnds, newRoundState(c.cfg.K, p))
+	c.words += c.cfg.K
+}
+
+// set stores m[item] = count, charging two words if the entry is new.
+func (c *Coordinator) set(m map[int64]int64, item, count int64) {
+	n := len(m)
+	m[item] = count
+	c.words += 2 * (len(m) - n)
 }
 
 // Receive implements proto.Coordinator.
 func (c *Coordinator) Receive(from int, m proto.Message, send func(int, proto.Message), broadcast func(proto.Message)) {
 	if c.rc.Deliver(from, m, broadcast) {
-		p := rounds.P(c.rc.NBar(), c.cfg.K, c.cfg.effEps())
-		c.rnds = append(c.rnds, newRoundState(c.cfg.K, p))
+		c.openRound(rounds.P(c.rc.NBar(), c.cfg.K, c.cfg.effEps()))
 		return
 	}
 	cur := c.rnds[len(c.rnds)-1]
 	switch msg := m.(type) {
 	case CounterMsg:
-		cur.cur[from].cbar[msg.Item] = msg.Count
+		c.set(cur.cur[from].cbar, msg.Item, msg.Count)
 	case SampleMsg:
-		cur.cur[from].d[msg.Item]++
+		d := cur.cur[from].d
+		c.set(d, msg.Item, d[msg.Item]+1)
 	case ResetMsg:
-		v := newVsite(from)
-		cur.cur[from] = v
-		cur.all = append(cur.all, v)
+		c.openVsite(cur, from)
 	}
+}
+
+// openVsite starts a fresh incarnation of a site in round r.
+func (c *Coordinator) openVsite(r *roundState, owner int) *vsite {
+	v := newVsite(owner)
+	r.cur[owner] = v
+	r.all = append(r.all, v)
+	c.words++
+	return v
 }
 
 // Estimate returns the tracker's estimate of item j's global frequency,
@@ -367,26 +391,22 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		switch msg.Key {
 		case stateRound:
 			if !c.snapFresh {
-				c.rnds, c.snapFresh = nil, true
+				c.rnds, c.words, c.snapFresh = nil, 0, true
 			}
 			c.rnds = append(c.rnds, &roundState{p: msg.F, cur: make([]*vsite, c.cfg.K)})
 		case stateVsite:
 			if from < 0 || from >= c.cfg.K || len(c.rnds) == 0 {
 				return
 			}
-			r := c.rnds[len(c.rnds)-1]
-			v := newVsite(from)
-			r.cur[from] = v
-			r.all = append(r.all, v)
-			c.snapV = v
+			c.snapV = c.openVsite(c.rnds[len(c.rnds)-1], from)
 		case stateDCount:
 			if c.snapV != nil {
-				c.snapV.d[msg.A] = msg.B
+				c.set(c.snapV.d, msg.A, msg.B)
 			}
 		}
 	case CounterMsg:
 		if c.snapV != nil {
-			c.snapV.cbar[msg.Item] = msg.Count
+			c.set(c.snapV.cbar, msg.Item, msg.Count)
 		}
 	}
 }
@@ -395,16 +415,9 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 func (c *Coordinator) P() float64 { return c.rnds[len(c.rnds)-1].p }
 
 // SpaceWords implements proto.Coordinator (the coordinator's state is
-// allowed to grow; the model only bounds site space).
-func (c *Coordinator) SpaceWords() int {
-	w := c.rc.SpaceWords()
-	for _, r := range c.rnds {
-		for _, v := range r.all {
-			w += 2*len(v.cbar) + 2*len(v.d) + 1
-		}
-	}
-	return w
-}
+// allowed to grow; the model only bounds site space). It is an O(1) read of
+// the ledger kept by Receive and RestoreState.
+func (c *Coordinator) SpaceWords() int { return c.rc.SpaceWords() + c.words }
 
 // NewProtocol assembles the randomized frequency tracker.
 func NewProtocol(cfg Config, seed uint64) (proto.Protocol, *Coordinator) {

@@ -1,7 +1,6 @@
 package rank
 
 import (
-	"math"
 	"sync"
 
 	"disttrack/internal/proto"
@@ -160,24 +159,10 @@ func (c *DetCoordinator) Rank(x float64) float64 {
 	return float64(est)
 }
 
-// Quantile locates a value of estimated rank q·n̂ by bisection over [lo, hi].
-// On an empty coordinator (n̂ = 0) it returns NaN — bisecting towards rank 0
-// would silently converge to lo.
+// Quantile locates a value of estimated rank q·n̂ by bisection over [lo, hi]
+// (NaN on an empty coordinator; see Bisect).
 func (c *DetCoordinator) Quantile(q float64, lo, hi float64) float64 {
-	total := c.Rank(math.Inf(1))
-	if total == 0 {
-		return math.NaN()
-	}
-	target := q * total
-	for i := 0; i < 64 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
-		mid := (lo + hi) / 2
-		if c.Rank(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
+	return Bisect(c.Rank)(q, lo, hi)
 }
 
 // SpaceWords implements proto.Coordinator.

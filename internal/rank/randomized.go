@@ -3,9 +3,30 @@
 // of unbiased rank summaries ("algorithm C" over "algorithm A") with
 // residual sampling, and the deterministic baseline of Cormode et al. [6]
 // (periodic Greenwald–Khanna snapshots).
+//
+// # Query index: live and sealed chunks
+//
+// Rank(x) sums, over every chunk the coordinator has heard of, the weights of
+// the stored values below x. Each site has one live chunk, the one its latest
+// message addressed, with a private (value, cumulative weight) index rebuilt
+// after a message. When the site addresses another chunk id the previous one
+// is sealed — links are FIFO, so it will not change again — and its index
+// moves onto a coordinator-wide stack of sorted runs merged by the
+// logarithmic method. A query is one binary search per run, O(log N) of
+// them, plus one per live chunk, at most K, however many chunks were ever
+// opened. The stack is a cache, neither persisted nor charged as space; a
+// message that does reach a sealed chunk (a rejoined site restarts its ids
+// at 0) marks it stale, and the next query rebuilds it from the records.
+//
+// Merging re-associates a floating-point sum, yet answers stay bit-identical
+// to a chunk-by-chunk walk: every weight is an integer (a merge-summary
+// buffer weight, or 1/p with p = 1/2^j from rounds.P) and all of them sum to
+// about the number of arrivals, far below 2^53, so every partial sum in any
+// order, and every difference of two cumulative sums, is exact.
 package rank
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -281,8 +302,8 @@ func (s *Site) SpaceWords() int {
 func (s *Site) P() float64 { return s.p }
 
 // chunkView is the coordinator's record of one chunk: node summaries
-// indexed by [level][pos], samples tail-partitioned around the covered
-// prefix, and a lazily rebuilt flattened index for O(log) rank queries.
+// indexed by [level][pos] and samples tail-partitioned around the covered
+// prefix. A live chunk also caches its query index.
 type chunkView struct {
 	p       float64
 	b       int64
@@ -291,14 +312,40 @@ type chunkView struct {
 	samples []sample           // in index order (sites send them in order)
 	tail    int                // samples[tail:] have index > leaves*b (the residual)
 
-	// The flattened index: every (value, weight) pair of the covered
-	// prefix's binary decomposition plus the residual samples at weight 1/p,
-	// sorted by value with cumulative weights. rank(x) is then one binary
-	// search; Quantile's bisection re-uses it for all 64 probes.
-	dirty   bool
-	entries []indexEntry
-	values  []float64
-	cum     []float64 // cum[i] = Σ weights of values[:i]; len = len(values)+1
+	dirty bool // a message arrived since idx was built
+	idx   run  // live chunks only; sealing moves it onto the run stack
+}
+
+// run is a query index: every (value, weight) pair of one or more chunks'
+// covered-prefix binary decompositions plus their residual samples at weight
+// 1/p, sorted by value with cumulative weights. rank(x) is one binary search.
+type run struct {
+	values []float64
+	cum    []float64 // cum[i] = Σ weights of values[:i]; len = len(values)+1
+}
+
+func (r run) rank(x float64) float64 { return r.cum[sort.SearchFloat64s(r.values, x)] }
+
+// mergeRuns merges two runs. Weights are recovered as differences of the
+// cumulative sums, which is exact (see the package comment).
+func mergeRuns(a, b run) run {
+	n := len(a.values) + len(b.values)
+	out := run{values: make([]float64, 0, n), cum: make([]float64, 1, n+1)}
+	total := 0.0
+	i, j := 0, 0
+	for i < len(a.values) || j < len(b.values) {
+		if j == len(b.values) || (i < len(a.values) && a.values[i] <= b.values[j]) {
+			out.values = append(out.values, a.values[i])
+			total += a.cum[i+1] - a.cum[i]
+			i++
+		} else {
+			out.values = append(out.values, b.values[j])
+			total += b.cum[j+1] - b.cum[j]
+			j++
+		}
+		out.cum = append(out.cum, total)
+	}
+	return out
 }
 
 type indexEntry struct {
@@ -311,6 +358,14 @@ type sample struct {
 	value float64
 }
 
+// nodeWords is a stored node's charge in the space ledger (absent = 0).
+func nodeWords(sn merge.Snapshot) int {
+	if sn.N > 0 {
+		return sn.Words()
+	}
+	return 0
+}
+
 // node returns the snapshot at (level, pos) and whether it is present.
 func (v *chunkView) node(level, pos int) (merge.Snapshot, bool) {
 	if level >= len(v.levels) || pos >= len(v.levels[level]) {
@@ -320,15 +375,18 @@ func (v *chunkView) node(level, pos int) (merge.Snapshot, bool) {
 	return sn, sn.N > 0
 }
 
-// setNode stores a snapshot, growing the level-indexed slices as needed.
-func (v *chunkView) setNode(level, pos int, sn merge.Snapshot) {
+// setNode stores a snapshot, growing the level-indexed slices as needed, and
+// returns the change in the chunk's space charge.
+func (v *chunkView) setNode(level, pos int, sn merge.Snapshot) int {
 	for level >= len(v.levels) {
 		v.levels = append(v.levels, nil)
 	}
 	for pos >= len(v.levels[level]) {
 		v.levels[level] = append(v.levels[level], merge.Snapshot{})
 	}
+	delta := nodeWords(sn) - nodeWords(v.levels[level][pos])
 	v.levels[level][pos] = sn
+	return delta
 }
 
 // advanceTail moves the sample partition point up to the covered prefix.
@@ -339,10 +397,13 @@ func (v *chunkView) advanceTail() {
 	}
 }
 
-// rebuild flattens the chunk's current decomposition and residual samples
-// into the sorted (value, cumulative-weight) index.
-func (v *chunkView) rebuild() {
-	v.entries = v.entries[:0]
+// index returns v's query index, rebuilding it from the chunk's current
+// decomposition and residual samples if a message arrived since the last.
+func (c *Coordinator) index(v *chunkView) run {
+	if !v.dirty {
+		return v.idx
+	}
+	entries := c.scratch[:0]
 	// Binary decomposition of the q = v.leaves completed blocks.
 	q := v.leaves
 	start := 0
@@ -355,7 +416,7 @@ func (v *chunkView) rebuild() {
 			for _, b := range sn.Buffers {
 				w := float64(b.Weight)
 				for _, val := range b.Values {
-					v.entries = append(v.entries, indexEntry{value: val, weight: w})
+					entries = append(entries, indexEntry{value: val, weight: w})
 				}
 			}
 		}
@@ -364,44 +425,38 @@ func (v *chunkView) rebuild() {
 	// Residual: samples with index beyond the covered prefix, at weight 1/p.
 	w := 1 / v.p
 	for _, sm := range v.samples[v.tail:] {
-		v.entries = append(v.entries, indexEntry{value: sm.value, weight: w})
+		entries = append(entries, indexEntry{value: sm.value, weight: w})
 	}
-	slices.SortFunc(v.entries, func(a, b indexEntry) int {
-		switch {
-		case a.value < b.value:
-			return -1
-		case a.value > b.value:
-			return 1
-		}
-		return 0
-	})
-	v.values = v.values[:0]
-	v.cum = append(v.cum[:0], 0)
+	slices.SortFunc(entries, func(a, b indexEntry) int { return cmp.Compare(a.value, b.value) })
+	v.idx.values = v.idx.values[:0]
+	v.idx.cum = append(v.idx.cum[:0], 0)
 	total := 0.0
-	for _, e := range v.entries {
-		v.values = append(v.values, e.value)
+	for _, e := range entries {
+		v.idx.values = append(v.idx.values, e.value)
 		total += e.weight
-		v.cum = append(v.cum, total)
+		v.idx.cum = append(v.idx.cum, total)
 	}
-	v.dirty = false
-}
-
-// rank answers |{elements < x}| for this chunk from the flattened index.
-func (v *chunkView) rank(x float64) float64 {
-	if v.dirty {
-		v.rebuild()
-	}
-	return v.cum[sort.SearchFloat64s(v.values, x)]
+	c.scratch, v.dirty = entries, false
+	return v.idx
 }
 
 // Coordinator accumulates chunk summaries and samples and answers rank
 // queries at any quiescent instant. Chunk records are indexed by site and
-// sequential chunk id, so queries walk flat slices instead of maps.
+// sequential chunk id; see the package comment for live and sealed chunks.
 type Coordinator struct {
 	cfg    Config
 	rc     *rounds.Coordinator
 	p      float64
 	chunks [][]*chunkView // per site, indexed by chunk id
+	live   []*chunkView   // per site: the live chunk, nil before the first
+	words  int            // running space charge of every chunk record
+
+	// runs is the stack of the sealed chunks' merged indexes: each run is
+	// more than twice the one above it. stale means a message reached a
+	// sealed chunk and the stack must be rebuilt before the next query.
+	runs    []run
+	stale   bool
+	scratch []indexEntry
 }
 
 // NewCoordinator returns the coordinator for the randomized rank tracker.
@@ -412,25 +467,89 @@ func NewCoordinator(cfg Config) *Coordinator {
 		rc:     rounds.NewCoordinator(cfg.K),
 		p:      1,
 		chunks: make([][]*chunkView, cfg.K),
+		live:   make([]*chunkView, cfg.K),
 	}
 }
 
-// view returns (creating if needed) the record for a site's chunk.
+// seal moves a chunk's index onto the run stack and merges the top two runs
+// while the lower is at most twice the upper.
+func (c *Coordinator) seal(v *chunkView) {
+	r := c.index(v)
+	v.idx, v.dirty = run{}, true
+	if len(r.values) == 0 {
+		return
+	}
+	c.runs = append(c.runs, r)
+	for n := len(c.runs); n >= 2 && len(c.runs[n-2].values) <= 2*len(c.runs[n-1].values); n-- {
+		c.runs[n-2] = mergeRuns(c.runs[n-2], c.runs[n-1])
+		c.runs = c.runs[:n-1]
+	}
+}
+
+// reindex rebuilds the run stack from the chunk records.
+func (c *Coordinator) reindex() {
+	c.runs = c.runs[:0]
+	for site, siteChunks := range c.chunks {
+		for _, v := range siteChunks {
+			if v != nil && v != c.live[site] {
+				c.seal(v)
+			}
+		}
+	}
+	c.stale = false
+}
+
+// view returns (creating if needed) the record for a site's chunk and makes
+// it the site's live chunk, sealing the previous one. If the record exists
+// and is not live it was sealed earlier and its old index sits merged inside
+// a run, so the stack goes stale instead.
 func (c *Coordinator) view(site int, id int64) *chunkView {
 	for id >= int64(len(c.chunks[site])) {
 		c.chunks[site] = append(c.chunks[site], nil)
 	}
-	if v := c.chunks[site][id]; v != nil {
+	v, prev := c.chunks[site][id], c.live[site]
+	if v != nil && v == prev {
 		return v
 	}
-	nBar := c.rc.NBar()
-	b := int64(c.cfg.effEps() * float64(nBar) / math.Sqrt(float64(c.cfg.K)))
-	if b < 1 {
-		b = 1
+	if v == nil {
+		nBar := c.rc.NBar()
+		b := int64(c.cfg.effEps() * float64(nBar) / math.Sqrt(float64(c.cfg.K)))
+		if b < 1 {
+			b = 1
+		}
+		v = &chunkView{p: c.p, b: b, dirty: true}
+		c.chunks[site][id] = v
+		c.words += 3
+	} else {
+		c.stale = true
 	}
-	v := &chunkView{p: c.p, b: b, dirty: true}
-	c.chunks[site][id] = v
+	if prev != nil && !c.stale {
+		c.seal(prev)
+	}
+	c.live[site] = v
 	return v
+}
+
+// addSummary stores a node summary in v and advances the covered prefix.
+func (c *Coordinator) addSummary(v *chunkView, msg SummaryMsg) {
+	c.words += v.setNode(msg.Level, msg.Pos, msg.Snap)
+	if msg.Level == 0 && msg.Pos+1 > v.leaves {
+		v.leaves = msg.Pos + 1
+		v.advanceTail()
+	}
+	v.dirty = true
+}
+
+// addSample appends a residual sample to v. Samples arrive in increasing
+// index order; one landing inside the covered prefix belongs to the head
+// partition.
+func (c *Coordinator) addSample(v *chunkView, msg SampleMsg) {
+	v.samples = append(v.samples, sample{index: msg.Index, value: msg.Value})
+	c.words += 2
+	if msg.Index <= int64(v.leaves)*v.b {
+		v.tail = len(v.samples)
+	}
+	v.dirty = true
 }
 
 // Receive implements proto.Coordinator.
@@ -441,61 +560,61 @@ func (c *Coordinator) Receive(from int, m proto.Message, send func(int, proto.Me
 	}
 	switch msg := m.(type) {
 	case SummaryMsg:
-		v := c.view(from, msg.Chunk)
-		v.setNode(msg.Level, msg.Pos, msg.Snap)
-		if msg.Level == 0 && msg.Pos+1 > v.leaves {
-			v.leaves = msg.Pos + 1
-			v.advanceTail()
-		}
-		v.dirty = true
+		c.addSummary(c.view(from, msg.Chunk), msg)
 	case SampleMsg:
-		v := c.view(from, msg.Chunk)
-		v.samples = append(v.samples, sample{index: msg.Index, value: msg.Value})
-		// Samples arrive in increasing index order; one landing inside the
-		// covered prefix belongs to the head partition.
-		if msg.Index <= int64(v.leaves)*v.b {
-			v.tail = len(v.samples)
-		}
-		v.dirty = true
+		c.addSample(c.view(from, msg.Chunk), msg)
 	}
 }
 
 // Rank returns the estimate of |{elements < x}| over everything received so
 // far: for each chunk, the binary decomposition of its completed-block
-// prefix and the residual samples at rate p, all pre-flattened into a
-// sorted index so each chunk costs one binary search.
+// prefix and the residual samples at rate p. Sealed chunks answer through
+// the run stack (one binary search per run), live chunks through their own
+// index (one per site).
 func (c *Coordinator) Rank(x float64) float64 {
+	if c.stale {
+		c.reindex()
+	}
 	est := 0.0
-	for _, siteChunks := range c.chunks {
-		for _, v := range siteChunks {
-			if v != nil {
-				est += v.rank(x)
-			}
+	for _, r := range c.runs {
+		est += r.rank(x)
+	}
+	for _, v := range c.live {
+		if v != nil {
+			est += c.index(v).rank(x)
 		}
 	}
 	return est
 }
 
 // Quantile returns a value whose estimated rank is closest to q·n̂ (n̂ =
-// Rank(+inf)), located by bisection over [lo, hi]. Each of the up-to-64
-// probes re-uses the chunks' flattened indexes built by the first. On an
-// empty coordinator (n̂ = 0) it returns NaN — bisecting towards rank 0
-// would silently converge to lo.
+// Rank(+inf)), located by bisection over [lo, hi] (see Bisect).
 func (c *Coordinator) Quantile(q float64, lo, hi float64) float64 {
-	total := c.Rank(math.Inf(1))
-	if total == 0 {
-		return math.NaN()
-	}
-	target := q * total
-	for i := 0; i < 64 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
-		mid := (lo + hi) / 2
-		if c.Rank(mid) < target {
-			lo = mid
-		} else {
-			hi = mid
+	return Bisect(c.Rank)(q, lo, hi)
+}
+
+// Bisect turns a rank function into a quantile function: it locates, by up
+// to 64 bisection steps over [lo, hi], a value whose estimated rank is q·n̂
+// (n̂ = rankFn(+inf)). On an empty tracker (n̂ = 0) there is no value of any
+// rank — bisecting towards rank 0 would silently converge to lo — so it
+// returns NaN.
+func Bisect(rankFn func(float64) float64) func(q, lo, hi float64) float64 {
+	return func(q, lo, hi float64) float64 {
+		total := rankFn(math.Inf(1))
+		if total == 0 {
+			return math.NaN()
 		}
+		target := q * total
+		for i := 0; i < 64 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
+			mid := (lo + hi) / 2
+			if rankFn(mid) < target {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		return (lo + hi) / 2
 	}
-	return (lo + hi) / 2
 }
 
 // Round returns the number of round transitions so far.
@@ -540,11 +659,12 @@ func (c *Coordinator) SnapshotState(emit func(from int, m proto.Message)) {
 	}
 }
 
-// RestoreState implements proto.Snapshotter. A chunk record re-creates the
+// RestoreState implements proto.Snapshotter. A chunk record creates the
 // view with its captured b and p (never through view(), which would use
 // the current round's); the summary and sample records that follow replay
 // through the same partition logic as Receive, which converges to the
-// identical leaves/tail state because summaries precede samples.
+// identical leaves/tail state because summaries precede samples. The run
+// stack is not persisted: restored chunks are indexed by the first query.
 func (c *Coordinator) RestoreState(from int, m proto.Message) {
 	if c.rc.RestoreState(from, m) {
 		c.p = rounds.P(c.rc.NBar(), c.cfg.K, c.cfg.effEps())
@@ -559,6 +679,7 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		}
 		return c.chunks[from][id]
 	}
+	c.stale = true
 	switch msg := m.(type) {
 	case proto.StateMsg:
 		if msg.Key != stateChunk || msg.A < 0 {
@@ -567,25 +688,18 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		for msg.A >= int64(len(c.chunks[from])) {
 			c.chunks[from] = append(c.chunks[from], nil)
 		}
-		c.chunks[from][msg.A] = &chunkView{p: msg.F, b: msg.B, dirty: true}
-	case SummaryMsg:
-		v := restored(msg.Chunk)
-		if v == nil || msg.Level < 0 || msg.Pos < 0 {
-			return
+		if c.chunks[from][msg.A] == nil {
+			c.chunks[from][msg.A] = &chunkView{p: msg.F, b: msg.B, dirty: true}
+			c.words += 3
 		}
-		v.setNode(msg.Level, msg.Pos, msg.Snap)
-		if msg.Level == 0 && msg.Pos+1 > v.leaves {
-			v.leaves = msg.Pos + 1
-			v.advanceTail()
+		c.live[from] = c.chunks[from][msg.A]
+	case SummaryMsg:
+		if v := restored(msg.Chunk); v != nil && msg.Level >= 0 && msg.Pos >= 0 {
+			c.addSummary(v, msg)
 		}
 	case SampleMsg:
-		v := restored(msg.Chunk)
-		if v == nil {
-			return
-		}
-		v.samples = append(v.samples, sample{index: msg.Index, value: msg.Value})
-		if msg.Index <= int64(v.leaves)*v.b {
-			v.tail = len(v.samples)
+		if v := restored(msg.Chunk); v != nil {
+			c.addSample(v, msg)
 		}
 	}
 }
@@ -593,27 +707,10 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 // P returns the current sampling probability.
 func (c *Coordinator) P() float64 { return c.p }
 
-// SpaceWords implements proto.Coordinator. The flattened query index is a
-// cache of the protocol state, not part of it, so it is not charged.
-func (c *Coordinator) SpaceWords() int {
-	w := c.rc.SpaceWords() + 1
-	for _, siteChunks := range c.chunks {
-		for _, v := range siteChunks {
-			if v == nil {
-				continue
-			}
-			w += 3 + 2*len(v.samples)
-			for _, lvl := range v.levels {
-				for _, sn := range lvl {
-					if sn.N > 0 {
-						w += sn.Words()
-					}
-				}
-			}
-		}
-	}
-	return w
-}
+// SpaceWords implements proto.Coordinator: an O(1) read of the ledger that
+// Receive and RestoreState keep. The query indexes are a cache of the
+// protocol state, not part of it, so they are not charged.
+func (c *Coordinator) SpaceWords() int { return c.rc.SpaceWords() + 1 + c.words }
 
 // NewProtocol assembles the randomized rank tracker.
 func NewProtocol(cfg Config, seed uint64) (proto.Protocol, *Coordinator) {

@@ -1,8 +1,6 @@
 package disttrack
 
 import (
-	"math"
-
 	"disttrack/internal/boost"
 	"disttrack/internal/proto"
 	"disttrack/internal/rank"
@@ -51,7 +49,7 @@ func NewRankTracker(opt Options) *RankTracker {
 				}
 				return stats.Median(ests)
 			}
-			t.quantile = bisect(t.rankFn)
+			t.quantile = rank.Bisect(t.rankFn)
 			t.fe = frontend(opt, t.eng)
 			return t
 		}
@@ -80,40 +78,18 @@ func NewRankTracker(opt Options) *RankTracker {
 			tp, coord := sample.NewTreeProtocol(scfg, opt.Fanout, opt.Seed)
 			t.mountCoreTree(opt, tp)
 			t.rankFn = coord.Rank
-			t.quantile = bisect(coord.Rank)
+			t.quantile = rank.Bisect(coord.Rank)
 		} else {
 			p, coord := sample.NewProtocol(scfg, opt.Seed)
 			t.mountCore(opt, p)
 			t.rankFn = coord.Rank
-			t.quantile = bisect(coord.Rank)
+			t.quantile = rank.Bisect(coord.Rank)
 		}
 	default:
 		panic("disttrack: unknown Algorithm")
 	}
 	t.fe = frontend(opt, t.eng)
 	return t
-}
-
-// bisect turns a rank function into a quantile function: it locates, by
-// binary search over [lo, hi], a value whose estimated rank is q·n̂. On an
-// empty tracker (n̂ = 0) there is no value of any rank, so it returns NaN.
-func bisect(rankFn func(float64) float64) func(q, lo, hi float64) float64 {
-	return func(q, lo, hi float64) float64 {
-		total := rankFn(math.Inf(1))
-		if total == 0 {
-			return math.NaN()
-		}
-		target := q * total
-		for i := 0; i < 64 && hi-lo > 1e-9*(1+math.Abs(hi)); i++ {
-			mid := (lo + hi) / 2
-			if rankFn(mid) < target {
-				lo = mid
-			} else {
-				hi = mid
-			}
-		}
-		return (lo + hi) / 2
-	}
 }
 
 // Observe records value arriving at the given site. The paper assumes
@@ -198,7 +174,7 @@ func (t *RankTracker) CrashRestartCoordinator() error {
 				}
 				return stats.Median(ests)
 			}
-			quantile = bisect(rankFn)
+			quantile = rank.Bisect(rankFn)
 		} else {
 			coord := rank.NewCoordinator(cfg)
 			fresh, rankFn, quantile = coord, coord.Rank, coord.Quantile
@@ -208,7 +184,7 @@ func (t *RankTracker) CrashRestartCoordinator() error {
 		fresh, rankFn, quantile = coord, coord.Rank, coord.Quantile
 	case AlgorithmSampling:
 		coord := sample.NewCoordinator(sample.Config{K: t.opt.K, Eps: t.opt.Epsilon})
-		fresh, rankFn, quantile = coord, coord.Rank, bisect(coord.Rank)
+		fresh, rankFn, quantile = coord, coord.Rank, rank.Bisect(coord.Rank)
 	default:
 		panic("disttrack: unknown Algorithm")
 	}

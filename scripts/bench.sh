@@ -21,6 +21,7 @@ FILTER="${1:-.}"
 STAMP="$(date -u +%Y%m%dT%H%M%SZ)"
 OUT="BENCH_${STAMP}.json"
 RAW="$(mktemp)"
+TAB="$(printf '\t')"
 trap 'rm -f "$RAW"' EXIT
 
 go test -run '^$' -bench "$FILTER" -benchmem -benchtime "${BENCHTIME:-1s}" . | tee "$RAW"
@@ -31,7 +32,9 @@ go test -run '^$' -bench "$FILTER" -benchmem -benchtime "${BENCHTIME:-1s}" . | t
 	printf '  "filter": "%s",\n' "$FILTER"
 	printf '  "go": "%s",\n' "$(go version | sed 's/"/\\"/g')"
 	printf '  "results": [\n'
-	grep '^Benchmark' "$RAW" | sed 's/\\/\\\\/g; s/"/\\"/g; s/.*/    "&"/' | sed '$!s/$/,/'
+	# go test separates columns with raw tabs, which JSON forbids inside a
+	# string: escape them (after backslashes, before quoting).
+	grep '^Benchmark' "$RAW" | sed 's/\\/\\\\/g; s/"/\\"/g; s/'"$TAB"'/\\t/g; s/.*/    "&"/' | sed '$!s/$/,/'
 	printf '  ]\n'
 	printf '}\n'
 } >"$OUT"

@@ -26,8 +26,11 @@ GATE="${3:-^Benchmark(Observe|ObserveTransport|ObserveBatchTransport|RankObserve
 THRESHOLD="${4:-10}"
 
 # extract <file> — recover the raw `go test -bench` lines from the snapshot.
+# Column separators are JSON-escaped tabs (\t); stamps written before
+# bench.sh escaped them carry raw tabs, which pass through unchanged.
+TAB="$(printf '\t')"
 extract() {
-	sed -n 's/^[[:space:]]*"\(Benchmark.*\)",\{0,1\}$/\1/p' "$1"
+	sed -n 's/^[[:space:]]*"\(Benchmark.*\)",\{0,1\}$/\1/p' "$1" | sed 's/\\t/'"$TAB"'/g'
 }
 
 if command -v benchstat >/dev/null 2>&1; then
