@@ -333,6 +333,47 @@ func BenchmarkObserveBatchFreq(b *testing.B) {
 	}
 }
 
+// sinkFloat keeps a benchmarked query's result live.
+var sinkFloat float64
+
+func BenchmarkFrequencyEstimate(b *testing.B) {
+	// A point query against a coordinator that has tracked 1 Mi zipf
+	// arrivals at k=64, ε=0.01 — several rounds and a few thousand
+	// incarnations of state for the randomized tracker, 64×801 mirrored
+	// slots for the deterministic one. Both answer from a per-item running
+	// estimate: one map read, 0 allocs/op, whatever the state's size.
+	const k, n, domain = 64, 1 << 20, 100000
+	for _, alg := range []Algorithm{AlgorithmRandomized, AlgorithmDeterministic} {
+		alg := alg
+		b.Run(alg.String(), func(b *testing.B) {
+			tr := NewFrequencyTracker(Options{K: k, Epsilon: 0.01, Algorithm: alg, Seed: 1})
+			z := stats.NewZipf(stats.New(2), domain, 1.1)
+			for i := 0; i < n; i++ {
+				tr.Observe(i%k, int64(z.Draw()))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkFloat = tr.Estimate(int64(i % domain))
+			}
+		})
+	}
+}
+
+func BenchmarkTreeFrequencyObserve(b *testing.B) {
+	// Sequential ingest through a k=256, fanout-16 frequency tree. Every
+	// cascade ends with each touched aggregator re-estimating its dirty
+	// items to feed the root, so this is the path that multiplies the cost
+	// of freq.Coordinator.Estimate by the message rate.
+	const k, domain = 256, 100000
+	tr := NewFrequencyTracker(Options{K: k, Epsilon: 0.01, Seed: 1, Topology: TopologyTree, Fanout: 16})
+	z := stats.NewZipf(stats.New(2), domain, 1.1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Observe(i%k, int64(z.Draw()))
+	}
+}
+
 // --- E15: summary-engine microbenchmarks (not a paper artifact): the
 // merge-summary hot path that dominates the randomized rank tracker, and the
 // rank batch ingestion path built on InsertRun. ---

@@ -41,13 +41,7 @@ func NewFrequencyTracker(opt Options) *FrequencyTracker {
 				ps[i], coords[i] = freq.NewProtocol(cfg, root.Uint64())
 			}
 			t.mountCore(opt, boost.Wrap(ps))
-			t.est = func(item int64) float64 {
-				ests := make([]float64, len(coords))
-				for i, c := range coords {
-					ests[i] = c.Estimate(item)
-				}
-				return stats.Median(ests)
-			}
+			t.est = medianEstimate(coords)
 			t.fe = frontend(opt, t.eng)
 			return t
 		}
@@ -85,6 +79,18 @@ func NewFrequencyTracker(opt Options) *FrequencyTracker {
 	return t
 }
 
+// medianEstimate is the boosted (Options.Copies > 1) point query: the median
+// of the independent copies' estimates.
+func medianEstimate(coords []*freq.Coordinator) func(item int64) float64 {
+	return func(item int64) float64 {
+		ests := make([]float64, len(coords))
+		for i, c := range coords {
+			ests[i] = c.Estimate(item)
+		}
+		return stats.Median(ests)
+	}
+}
+
 // Observe records item arriving at the given site.
 func (t *FrequencyTracker) Observe(site int, item int64) {
 	if site < 0 || site >= t.k {
@@ -117,7 +123,10 @@ func (t *FrequencyTracker) ObserveBatch(site int, item int64, count int) {
 
 // Estimate returns the current frequency estimate for item. Randomized
 // estimates are unbiased and may be slightly negative for rare items; clamp
-// at zero if presenting to users. With ConcurrentIngest it reads a
+// at zero if presenting to users. A query is O(1) — one map read per copy —
+// however much state the coordinator holds: every algorithm's coordinator
+// keeps a per-item running estimate current as messages arrive. With
+// ConcurrentIngest it reads a
 // quiescent snapshot: everything ingested up to some recent cascade
 // boundary (call Flush first for an everything-observed-so-far barrier).
 func (t *FrequencyTracker) Estimate(item int64) float64 {
@@ -143,13 +152,7 @@ func (t *FrequencyTracker) CrashRestartCoordinator() error {
 				inner[i] = coords[i]
 			}
 			fresh = boost.WrapCoordinators(inner)
-			est = func(item int64) float64 {
-				ests := make([]float64, len(coords))
-				for i, c := range coords {
-					ests[i] = c.Estimate(item)
-				}
-				return stats.Median(ests)
-			}
+			est = medianEstimate(coords)
 		} else {
 			coord := freq.NewCoordinator(cfg)
 			fresh, est = coord, coord.Estimate

@@ -134,15 +134,17 @@ func (s *DetSite) SpaceWords() int {
 }
 
 // DetCoordinator mirrors each site's reported slots and answers point
-// queries by summing the counts of slots labeled with the query item.
+// queries with the summed counts of the slots labeled with the query item.
 type DetCoordinator struct {
 	rc    *rounds.Coordinator
 	slots []map[int]DetReportMsg // per site: slot id -> last report
+	sum   map[int64]int64        // per item: Σ Count over mirrored slots labeled with it
+	words int                    // running space charge: three words per mirrored slot
 }
 
 // NewDetCoordinator returns the deterministic coordinator.
 func NewDetCoordinator(k int) *DetCoordinator {
-	c := &DetCoordinator{rc: rounds.NewCoordinator(k), slots: make([]map[int]DetReportMsg, k)}
+	c := &DetCoordinator{rc: rounds.NewCoordinator(k), slots: make([]map[int]DetReportMsg, k), sum: make(map[int64]int64)}
 	for i := range c.slots {
 		c.slots[i] = make(map[int]DetReportMsg)
 	}
@@ -155,32 +157,36 @@ func (c *DetCoordinator) Receive(from int, m proto.Message, send func(int, proto
 		return
 	}
 	if r, ok := m.(*DetReportMsg); ok {
-		c.slots[from][r.Slot] = *r
+		site := c.slots[from]
+		if old, ok := site[r.Slot]; ok {
+			c.add(old.Item, -old.Count) // the slot's previous report, possibly under another label
+		} else {
+			c.words += 3
+		}
+		site[r.Slot] = *r
+		c.add(r.Item, r.Count)
 		RecycleDetReport(r)
 	}
 }
 
-// Estimate returns the deterministic estimate of item j's frequency.
-func (c *DetCoordinator) Estimate(j int64) float64 {
-	var est int64
-	for _, site := range c.slots {
-		for _, r := range site {
-			if r.Item == j {
-				est += r.Count
-			}
-		}
+// add moves item's summed count by delta, dropping the key at zero so sum
+// holds only items some mirrored slot is still labeled with.
+func (c *DetCoordinator) add(item, delta int64) {
+	if s := c.sum[item] + delta; s != 0 {
+		c.sum[item] = s
+	} else {
+		delete(c.sum, item)
 	}
-	return float64(est)
 }
 
-// SpaceWords implements proto.Coordinator.
-func (c *DetCoordinator) SpaceWords() int {
-	w := c.rc.SpaceWords()
-	for _, site := range c.slots {
-		w += 3 * len(site)
-	}
-	return w
-}
+// Estimate returns the deterministic estimate of item j's frequency. O(1):
+// Receive keeps the per-item sum current.
+func (c *DetCoordinator) Estimate(j int64) float64 { return float64(c.sum[j]) }
+
+// SpaceWords implements proto.Coordinator: an O(1) read of the ledger kept
+// by Receive. The per-item sum is derived from the mirrored slots and is not
+// charged.
+func (c *DetCoordinator) SpaceWords() int { return c.rc.SpaceWords() + c.words }
 
 // NewDetProtocol assembles the deterministic frequency tracker.
 func NewDetProtocol(k int, eps float64) (proto.Protocol, *DetCoordinator) {

@@ -1,6 +1,7 @@
 package freq
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -355,52 +356,280 @@ func walkWords(c *Coordinator) int {
 	return w
 }
 
+// walked is one item's answer from walkEstimates.
+type walked struct {
+	est   float64 // the walk as Estimate accumulated it, in float64
+	exact int64   // the same terms accumulated in int64
+	mag   float64 // Σ|term|
+}
+
+// walkEstimates is the full walk Estimate performed before the per-item
+// index, for every item at once: one equation-(4) term per (round,
+// incarnation) — c̄ − 2 + 2/p when a counter exists, else −d/p — visited in
+// the order the production walk visited them, so each item's float64 sum
+// associates exactly as it did. While an item's mag stays below 2^53 every
+// partial sum is an exactly representable integer, est == float64(exact),
+// and the index must reproduce est to the bit.
+func walkEstimates(c *Coordinator) map[int64]walked {
+	out := map[int64]walked{}
+	add := func(j int64, term float64, exact int64) {
+		w := out[j]
+		out[j] = walked{w.est + term, w.exact + exact, w.mag + math.Abs(term)}
+	}
+	for _, r := range c.rnds {
+		inv := int64(1 / r.p)
+		for _, v := range r.all {
+			for j, cb := range v.cbar {
+				add(j, float64(cb)-2+2/r.p, cb-2+2*inv)
+			}
+			if c.cfg.BiasedEstimator {
+				continue
+			}
+			for j, d := range v.d {
+				if _, ok := v.cbar[j]; !ok {
+					add(j, -float64(d)/r.p, -d*inv)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// checkIndex holds Estimate to the walk for every item in items (an item
+// the walk never met must read 0), and reports how many of them the float
+// walk could still answer exactly.
+func checkIndex(t *testing.T, c *Coordinator, items []int64, where func() string) (inExactRange int) {
+	t.Helper()
+	walk := walkEstimates(c)
+	for _, item := range items {
+		got, w := c.Estimate(item), walk[item]
+		if got != float64(w.exact) {
+			t.Fatalf("%s: Estimate(%d) = %v, integer walk says %d", where(), item, got, w.exact)
+		}
+		if w.mag < 1<<53 {
+			inExactRange++
+			if got != w.est {
+				t.Fatalf("%s: Estimate(%d) = %v, float walk says %v (Σ|terms| = %g)", where(), item, got, w.est, w.mag)
+			}
+		}
+	}
+	return inExactRange
+}
+
+// checkRestored snapshots c into a new coordinator and holds the copy's
+// ledger and every estimate to the original's. The copy has already taken
+// two messages into its constructed round 0, which the first restored round
+// replaces wholesale: their words and their estimates must go with it.
+func checkRestored(t *testing.T, c *Coordinator, items []int64, where func() string) *Coordinator {
+	t.Helper()
+	restored := NewCoordinator(c.cfg)
+	restored.Receive(0, CounterMsg{Item: 1, Count: 9}, nil, nil)
+	restored.Receive(0, SampleMsg{Item: 2}, nil, nil)
+	c.SnapshotState(restored.RestoreState)
+	if got, want := restored.SpaceWords(), c.SpaceWords(); got != want {
+		t.Fatalf("%s: restored SpaceWords = %d, original %d", where(), got, want)
+	}
+	if got, want := restored.SpaceWords(), walkWords(restored); got != want {
+		t.Fatalf("%s: restored SpaceWords = %d, full walk says %d", where(), got, want)
+	}
+	for _, item := range items {
+		if got, want := restored.Estimate(item), c.Estimate(item); got != want {
+			t.Fatalf("%s: restored Estimate(%d) = %v, original %v", where(), item, got, want)
+		}
+	}
+	return restored
+}
+
 func TestSpaceLedgerMatchesWalkUnderRandomMessages(t *testing.T) {
 	// A seeded random message sequence — counter reports (items repeat, so
 	// most overwrite), samples, virtual-site resets, and doubling reports
-	// that open rounds — with the O(1) ledger held to the full walk after
-	// every message; then a snapshot restored into a fresh coordinator must
-	// carry the same ledger and the same estimates.
+	// that open rounds — with the O(1) ledger and the per-item estimate
+	// index held to their full walks after every message, for all 42 items.
+	// The synthetic doubling drives 1/p far past anything a real stream
+	// reaches, so on some seeds the float walk stops being an oracle late in
+	// the sequence (Σ|terms| ≥ 2^53); the integer walk is one throughout.
+	// Every 500 messages, and at the end, a snapshot restored into a fresh
+	// coordinator must carry the same ledger and the same estimates — replay
+	// applies counters before sample counts, the reverse of how most arrived
+	// — and the pair must stay equal under further traffic. The
+	// no-virtual-sites row sends no resets, as sites with the option off
+	// never do: one incarnation per site and round, overwritten far more.
+	items := make([]int64, 42) // 40 live items and two never reported
+	for i := range items {
+		items[i] = int64(i)
+	}
+	rows := []struct {
+		name  string
+		cfg   Config
+		seeds []uint64 // 3 and 8 outrun the float walk's exact range
+	}{
+		{"unbiased", Config{K: 5, Eps: 0.1, Rescale: 1}, []uint64{1, 2, 3, 4, 5, 6, 7, 8}},
+		{"biased", Config{K: 5, Eps: 0.1, Rescale: 1, BiasedEstimator: true}, []uint64{3, 8}},
+		{"no-virtual-sites", Config{K: 5, Eps: 0.1, Rescale: 1, DisableVirtualSites: true}, []uint64{3, 8}},
+	}
+	for _, row := range rows {
+		for _, seed := range row.seeds {
+			k := row.cfg.K
+			c := NewCoordinator(row.cfg)
+			rng := stats.New(seed)
+			reported := make([]int64, k)
+			var (
+				step int
+				site int
+				m    proto.Message
+			)
+			where := func() string { return fmt.Sprintf("%s seed %d step %d (%T)", row.name, seed, step, m) }
+			next := func() {
+				site = rng.Intn(k)
+				switch r := rng.Intn(100); {
+				case r < 45:
+					m = CounterMsg{Item: int64(rng.Intn(40)), Count: int64(1 + rng.Intn(100))}
+				case r < 85:
+					m = SampleMsg{Item: int64(rng.Intn(40))}
+				case r < 93 && !row.cfg.DisableVirtualSites:
+					m = ResetMsg{}
+				case r < 93:
+					m = CounterMsg{Item: int64(rng.Intn(40)), Count: int64(1 + rng.Intn(100))}
+				default:
+					reported[site] = 2*reported[site] + 1 + int64(rng.Intn(50))
+					m = rounds.UpMsg{N: reported[site]}
+				}
+			}
+			exactChecks := 0
+			for step = 0; step < 3000; step++ {
+				next()
+				c.Receive(site, m, nil, func(proto.Message) {})
+				if got, want := c.SpaceWords(), walkWords(c); got != want {
+					t.Fatalf("%s: SpaceWords = %d, full walk says %d", where(), got, want)
+				}
+				exactChecks += checkIndex(t, c, items, where)
+				if step%500 == 499 {
+					checkRestored(t, c, items, where)
+				}
+			}
+			if c.Round() == 0 {
+				t.Fatalf("%s seed %d: the sequence never changed round", row.name, seed)
+			}
+			if exactChecks < 2000*len(items) {
+				t.Fatalf("%s seed %d: only %d checks ran against the float walk", row.name, seed, exactChecks)
+			}
+
+			restored := checkRestored(t, c, items, where)
+			for ; step < 3300; step++ {
+				next()
+				c.Receive(site, m, nil, func(proto.Message) {})
+				restored.Receive(site, m, nil, func(proto.Message) {})
+				checkIndex(t, restored, items, where)
+				for _, item := range items {
+					if got, want := restored.Estimate(item), c.Estimate(item); got != want {
+						t.Fatalf("%s: restored Estimate(%d) = %v, original %v", where(), item, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestEstimateIndexMatchesWalkOnRealProtocol(t *testing.T) {
+	// The real protocol at k=16 through several rounds: eight hot items, a
+	// long tail, and a hot site that forces virtual-site splits. On a real
+	// stream every term is an integer and Σ|terms| ≪ 2^53, so the index must
+	// equal the float walk — the production Estimate it replaced — for every
+	// item seen so far, under both estimators.
+	const k, n = 16, 60000
+	for _, biased := range []bool{false, true} {
+		cfg := Config{K: k, Eps: 0.05, Rescale: 1, BiasedEstimator: biased}
+		p, coord := NewProtocol(cfg, 61)
+		h := sim.New(p)
+		rng := stats.New(67)
+		tail := workload.ZipfItems(5000, 1.05, rng)
+		seen := map[int64]bool{}
+		items := []int64{-1} // never observed
+		for i := 0; i < n; i++ {
+			item := 100 + tail(i)
+			if i%2 == 0 {
+				item = int64(i / 2 % 8)
+			}
+			if !seen[item] {
+				seen[item] = true
+				items = append(items, item)
+			}
+			site := i % k
+			if i%3 == 0 {
+				site = 0
+			}
+			h.Arrive(site, item, 0)
+			if i%4000 == 3999 || i == n-1 {
+				where := func() string { return fmt.Sprintf("biased=%v arrival %d", biased, i+1) }
+				if got := checkIndex(t, coord, items, where); got != len(items) {
+					t.Fatalf("%s: float walk exact for %d of %d items", where(), got, len(items))
+				}
+			}
+		}
+		if coord.Round() < 3 {
+			t.Fatalf("biased=%v: only %d rounds", biased, coord.Round())
+		}
+		resets := 0
+		for _, r := range coord.rnds {
+			resets += len(r.all) - k
+		}
+		if resets == 0 {
+			t.Fatalf("biased=%v: no virtual-site split occurred", biased)
+		}
+		checkRestored(t, coord, items, func() string { return fmt.Sprintf("biased=%v end", biased) })
+	}
+}
+
+// walkDet is the pair of walks DetCoordinator.Estimate and SpaceWords
+// performed before the per-item sum and the ledger.
+func walkDet(c *DetCoordinator, j int64) (est float64, words int) {
+	var sum int64
+	words = c.rc.SpaceWords()
+	for _, site := range c.slots {
+		words += 3 * len(site)
+		for _, r := range site {
+			if r.Item == j {
+				sum += r.Count
+			}
+		}
+	}
+	return float64(sum), words
+}
+
+func TestDetCoordinatorSumMatchesWalkUnderRandomReports(t *testing.T) {
+	// Random slot reports over few slots and few items, so that slots are
+	// overwritten with a higher count, relabelled to another item, and the
+	// same item sits in several sites at once; zero-count reports exercise
+	// the delete-at-zero path. Estimate and SpaceWords are held to their
+	// walks after every message.
+	const k, slots, nItems = 4, 6, 9
 	for seed := uint64(1); seed <= 8; seed++ {
-		const k = 5
-		cfg := Config{K: k, Eps: 0.1, Rescale: 1}
-		c := NewCoordinator(cfg)
+		c := NewDetCoordinator(k)
 		rng := stats.New(seed)
 		reported := make([]int64, k)
-		for step := 0; step < 3000; step++ {
+		for step := 0; step < 2000; step++ {
 			site := rng.Intn(k)
 			var m proto.Message
-			switch r := rng.Intn(100); {
-			case r < 45:
-				m = CounterMsg{Item: int64(rng.Intn(40)), Count: int64(1 + rng.Intn(100))}
-			case r < 85:
-				m = SampleMsg{Item: int64(rng.Intn(40))}
-			case r < 93:
-				m = ResetMsg{}
-			default:
-				reported[site] = 2*reported[site] + 1 + int64(rng.Intn(50))
+			if rng.Intn(100) < 95 {
+				m = NewDetReport(rng.Intn(slots), int64(rng.Intn(nItems)), int64(rng.Intn(50)))
+			} else {
+				reported[site] = 2*reported[site] + 1
 				m = rounds.UpMsg{N: reported[site]}
 			}
 			c.Receive(site, m, nil, func(proto.Message) {})
-			if got, want := c.SpaceWords(), walkWords(c); got != want {
-				t.Fatalf("seed %d step %d (%T): SpaceWords = %d, full walk says %d", seed, step, m, got, want)
+			for item := int64(0); item <= nItems; item++ { // nItems itself is never reported
+				est, words := walkDet(c, item)
+				if got := c.Estimate(item); got != est {
+					t.Fatalf("seed %d step %d: Estimate(%d) = %v, walk says %v", seed, step, item, got, est)
+				}
+				if got := c.SpaceWords(); got != words {
+					t.Fatalf("seed %d step %d: SpaceWords = %d, walk says %d", seed, step, got, words)
+				}
 			}
 		}
-		if c.Round() == 0 {
-			t.Fatalf("seed %d: the sequence never changed round", seed)
-		}
-
-		restored := NewCoordinator(cfg)
-		c.SnapshotState(restored.RestoreState)
-		if got, want := restored.SpaceWords(), c.SpaceWords(); got != want {
-			t.Fatalf("seed %d: restored SpaceWords = %d, original %d", seed, got, want)
-		}
-		if got, want := restored.SpaceWords(), walkWords(restored); got != want {
-			t.Fatalf("seed %d: restored SpaceWords = %d, full walk says %d", seed, got, want)
-		}
-		for item := int64(0); item < 42; item++ {
-			if got, want := restored.Estimate(item), c.Estimate(item); got != want {
-				t.Fatalf("seed %d: restored Estimate(%d) = %v, original %v", seed, item, got, want)
+		for item, s := range c.sum {
+			if s == 0 {
+				t.Fatalf("seed %d: sum keeps a zero entry for item %d", seed, item)
 			}
 		}
 	}

@@ -2,6 +2,44 @@
 // of Section 3 of the paper: the randomized O(√k/ε·logN)-communication,
 // O(1/(ε√k))-space algorithm, and the deterministic Θ(k/ε·logN) baseline
 // of [29] realized with SpaceSaving counters and rounded reports.
+//
+// # Point queries are one map read
+//
+// The paper's estimate f̂(j) (equation (4)) is a sum with one term per
+// (round, virtual-site incarnation): c̄ − 2 + 2/p where the incarnation has
+// reported a counter for j, else −d/p for its d independent samples of j.
+// Coordinator does not walk that sum per query. It keeps est[j], the current
+// value of the sum, and the two functions that write incarnation state —
+// counter and sample, shared by Receive and RestoreState — move est[j] by
+// exactly the amount the write changes j's term: count − old for an
+// overwritten counter; (count − 2 + 2/p) + d/p for a first counter, which
+// replaces the incarnation's −d/p term; −n/p for n samples while no counter
+// exists, nothing once one does. Resets and round changes add only empty
+// incarnations and touch nothing. Invariant: after every message, est[j]
+// equals the sum of the terms the stored cbar/d entries define.
+// DetCoordinator keeps the analogous per-item sum of its mirrored slots.
+//
+// est is int64, not float64, and that is what makes the answer independent
+// of message order. rounds.P only returns p = 1/2^j, so 1/p and with it
+// every term is an integer, and integer addition is associative: a
+// coordinator rebuilt by RestoreState (counters first, then sample counts —
+// not the order they arrived in) holds bit for bit the est of the live one.
+// A float64 accumulator rounds once magnitudes pass 2^53, and what it rounds
+// to depends on the order of the additions.
+//
+// Estimate(j) = float64(est[j]) equals the replaced float64 walk exactly
+// under one precondition: Σ|terms| < 2^53, so that every partial sum of the
+// walk was an exactly representable integer. On a real stream of n elements
+// a round's terms for j total about its arrivals of j plus 2/p per incarnation,
+// O(n̄ + k/p) with k/p = ε√k·n̄, over O(log n) rounds: Σ|terms| =
+// O((1 + ε√k)·n·log n), far below 2^53 ≈ 9·10^15 for any stream this code
+// will see. Only synthetic message sequences (the random-message test, which
+// doubles n̄ every few messages) leave that range, and there est remains the
+// exact integer sum while the walk rounds. The walk survives as the test
+// oracle (walkEstimates in freq_test.go).
+//
+// The index is derived state: never snapshotted (restore rebuilds it from the
+// same records), and not charged to SpaceWords.
 package freq
 
 import (
@@ -226,15 +264,15 @@ func (s *Site) SpaceWords() int {
 // P exposes the current sampling probability (tests).
 func (s *Site) P() float64 { return s.p }
 
-// vsite is the coordinator's record of one virtual-site incarnation.
+// vsite is the coordinator's record of one virtual-site incarnation. Both
+// maps are allocated on first write (Coordinator.counter / sample): most
+// incarnations a ResetMsg opens never receive a sample, and some never a
+// counter. Reads of a nil map are legal and find nothing.
 type vsite struct {
 	owner int             // physical site the incarnation belongs to
+	inv   int64           // 1/p of its round, exact: rounds.P only returns 1/2^j
 	cbar  map[int64]int64 // last reported counter per item
 	d     map[int64]int64 // independent-sample counts per item
-}
-
-func newVsite(owner int) *vsite {
-	return &vsite{owner: owner, cbar: make(map[int64]int64), d: make(map[int64]int64)}
 }
 
 // roundState is the coordinator's record of one round.
@@ -245,13 +283,7 @@ type roundState struct {
 }
 
 func newRoundState(k int, p float64) *roundState {
-	rs := &roundState{p: p, cur: make([]*vsite, k)}
-	for i := range rs.cur {
-		v := newVsite(i)
-		rs.cur[i] = v
-		rs.all = append(rs.all, v)
-	}
-	return rs
+	return &roundState{p: p, cur: make([]*vsite, k)}
 }
 
 // Coordinator accumulates per-round, per-incarnation counters and samples
@@ -260,6 +292,14 @@ type Coordinator struct {
 	cfg  Config
 	rc   *rounds.Coordinator
 	rnds []*roundState
+
+	// est is the per-item running estimate: est[j] is the sum, over every
+	// (round, incarnation), of the equation-(4) term the stored cbar/d
+	// entries for j contribute. counter and sample — the only writers of
+	// cbar and d — move it by each write's change to that sum, so Estimate
+	// is one map read. Derived state: never snapshotted, not charged to
+	// SpaceWords.
+	est map[int64]int64
 
 	// words is the running space charge: one word per incarnation and two
 	// per stored counter or sample count, adjusted wherever one is created.
@@ -276,22 +316,55 @@ type Coordinator struct {
 // NewCoordinator returns the coordinator for the randomized tracker.
 func NewCoordinator(cfg Config) *Coordinator {
 	cfg.validate()
-	c := &Coordinator{cfg: cfg, rc: rounds.NewCoordinator(cfg.K)}
+	c := &Coordinator{cfg: cfg, rc: rounds.NewCoordinator(cfg.K), est: make(map[int64]int64)}
 	c.openRound(1)
 	return c
 }
 
 // openRound starts a round with one fresh incarnation per site.
 func (c *Coordinator) openRound(p float64) {
-	c.rnds = append(c.rnds, newRoundState(c.cfg.K, p))
-	c.words += c.cfg.K
+	r := newRoundState(c.cfg.K, p)
+	c.rnds = append(c.rnds, r)
+	for i := range r.cur {
+		c.openVsite(r, i)
+	}
 }
 
-// set stores m[item] = count, charging two words if the entry is new.
-func (c *Coordinator) set(m map[int64]int64, item, count int64) {
-	n := len(m)
-	m[item] = count
-	c.words += 2 * (len(m) - n)
+// counter stores v.cbar[item] = count and moves est[item] by the change in
+// v's term: count − old when v already held a counter for the item; else
+// the new term count − 2 + 2/p, plus — unbiased estimator only — v.d[item]/p
+// to cancel the −d/p term v was contributing until now. A new entry is
+// charged two words.
+func (c *Coordinator) counter(v *vsite, item, count int64) {
+	if old, ok := v.cbar[item]; ok {
+		c.est[item] += count - old
+	} else {
+		if v.cbar == nil {
+			v.cbar = make(map[int64]int64)
+		}
+		delta := count - 2 + 2*v.inv
+		if !c.cfg.BiasedEstimator {
+			delta += v.d[item] * v.inv
+		}
+		c.est[item] += delta
+		c.words += 2
+	}
+	v.cbar[item] = count
+}
+
+// sample adds n independent samples of item to v.d, charging two words if
+// the entry is new. The −d/p term only counts while v holds no counter for
+// the item (and never under BiasedEstimator), so only then does est move.
+func (c *Coordinator) sample(v *vsite, item, n int64) {
+	if v.d == nil {
+		v.d = make(map[int64]int64)
+	}
+	held := len(v.d)
+	v.d[item] += n
+	c.words += 2 * (len(v.d) - held)
+	if _, ok := v.cbar[item]; !ok && !c.cfg.BiasedEstimator {
+		c.est[item] -= n * v.inv
+	}
 }
 
 // Receive implements proto.Coordinator.
@@ -303,42 +376,29 @@ func (c *Coordinator) Receive(from int, m proto.Message, send func(int, proto.Me
 	cur := c.rnds[len(c.rnds)-1]
 	switch msg := m.(type) {
 	case CounterMsg:
-		c.set(cur.cur[from].cbar, msg.Item, msg.Count)
+		c.counter(cur.cur[from], msg.Item, msg.Count)
 	case SampleMsg:
-		d := cur.cur[from].d
-		c.set(d, msg.Item, d[msg.Item]+1)
+		c.sample(cur.cur[from], msg.Item, 1)
 	case ResetMsg:
 		c.openVsite(cur, from)
 	}
 }
 
-// openVsite starts a fresh incarnation of a site in round r.
+// openVsite starts a fresh incarnation of a site in round r (one word).
 func (c *Coordinator) openVsite(r *roundState, owner int) *vsite {
-	v := newVsite(owner)
+	v := &vsite{owner: owner, inv: int64(1 / r.p)}
 	r.cur[owner] = v
 	r.all = append(r.all, v)
 	c.words++
 	return v
 }
 
-// Estimate returns the tracker's estimate of item j's global frequency,
-// summing the per-(round, incarnation) unbiased estimators of equation (4):
+// Estimate returns the tracker's estimate of item j's global frequency: the
+// sum of the per-(round, incarnation) unbiased estimators of equation (4) —
 // c̄ − 2 + 2/p when a counter exists, else −d/p. With
 // Config.BiasedEstimator it applies equation (2) instead (0 when no counter
-// exists) to expose its bias.
-func (c *Coordinator) Estimate(j int64) float64 {
-	est := 0.0
-	for _, r := range c.rnds {
-		for _, v := range r.all {
-			if cb, ok := v.cbar[j]; ok {
-				est += float64(cb) - 2 + 2/r.p
-			} else if !c.cfg.BiasedEstimator {
-				est -= float64(v.d[j]) / r.p
-			}
-		}
-	}
-	return est
-}
+// exists) to expose its bias. O(1): one read of the running estimate.
+func (c *Coordinator) Estimate(j int64) float64 { return float64(c.est[j]) }
 
 // Round returns the number of completed round transitions.
 func (c *Coordinator) Round() int { return c.rc.Round() }
@@ -392,8 +452,9 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		case stateRound:
 			if !c.snapFresh {
 				c.rnds, c.words, c.snapFresh = nil, 0, true
+				clear(c.est)
 			}
-			c.rnds = append(c.rnds, &roundState{p: msg.F, cur: make([]*vsite, c.cfg.K)})
+			c.rnds = append(c.rnds, newRoundState(c.cfg.K, msg.F))
 		case stateVsite:
 			if from < 0 || from >= c.cfg.K || len(c.rnds) == 0 {
 				return
@@ -401,12 +462,12 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 			c.snapV = c.openVsite(c.rnds[len(c.rnds)-1], from)
 		case stateDCount:
 			if c.snapV != nil {
-				c.set(c.snapV.d, msg.A, msg.B)
+				c.sample(c.snapV, msg.A, msg.B)
 			}
 		}
 	case CounterMsg:
 		if c.snapV != nil {
-			c.set(c.snapV.cbar, msg.Item, msg.Count)
+			c.counter(c.snapV, msg.Item, msg.Count)
 		}
 	}
 }
@@ -416,7 +477,9 @@ func (c *Coordinator) P() float64 { return c.rnds[len(c.rnds)-1].p }
 
 // SpaceWords implements proto.Coordinator (the coordinator's state is
 // allowed to grow; the model only bounds site space). It is an O(1) read of
-// the ledger kept by Receive and RestoreState.
+// the ledger kept by Receive and RestoreState. The per-item estimate index
+// is not charged: it is a query accelerator derived from the counted state,
+// not protocol state, so MaxCoordSpace reads the same with or without it.
 func (c *Coordinator) SpaceWords() int { return c.rc.SpaceWords() + c.words }
 
 // NewProtocol assembles the randomized frequency tracker.

@@ -67,29 +67,14 @@ func (a *Agg) DrainFeed(feed func(item int64, value float64, count int64)) {
 }
 
 // SeedFed primes the feed ledger after a coordinator recovery: every item
-// the restored state knows about is considered already fed up to its
-// current estimate.
+// the restored state holds an estimate for is considered already fed up to
+// that estimate (an item absent from the ledger reads as fed 0, which is
+// also what a non-positive estimate seeds).
 func (a *Agg) SeedFed() {
-	for _, r := range a.rnds {
-		for _, v := range r.all {
-			for item := range v.cbar {
-				a.seedItem(item)
-			}
-			for item := range v.d {
-				a.seedItem(item)
-			}
+	for item, est := range a.est {
+		if _, ok := a.fed[item]; !ok {
+			a.fed[item] = max(est, 0)
 		}
-	}
-}
-
-func (a *Agg) seedItem(item int64) {
-	if _, ok := a.fed[item]; ok {
-		return
-	}
-	if est := int64(a.Estimate(item)); est > 0 {
-		a.fed[item] = est
-	} else {
-		a.fed[item] = 0
 	}
 }
 

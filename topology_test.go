@@ -201,3 +201,46 @@ func TestTreeFreqRankSmoke(t *testing.T) {
 		}
 	})
 }
+
+// TestTreeFrequencyPinnedAtScale pins a k=256/fanout-16 frequency tree's
+// answers and cost ledger at a fixed seed to the values the tree produced
+// while every aggregator query walked the coordinator's full state (commit
+// 4020df4). Aggregators feed the root int64(Estimate(item)) for every dirty
+// item, so any drift in the per-item estimate index would change the virtual
+// stream, and with it the root's messages and estimates.
+func TestTreeFrequencyPinnedAtScale(t *testing.T) {
+	const k, n = 256, 200000
+	tr := NewFrequencyTracker(Options{
+		K: k, Epsilon: 0.02, Seed: 5, Topology: TopologyTree, Fanout: 16,
+	})
+	defer tr.Close()
+	// Hot items 0..7 take about half the stream; the rest is a long tail
+	// drawn by a fixed LCG, so the stream needs no seed of its own.
+	x := uint64(88172645463325252)
+	for i := 0; i < n; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		item := int64(x >> 33 % 50000)
+		if x>>62 < 2 {
+			item = int64(x >> 40 % 8)
+		}
+		tr.Observe(int(x>>20%k), item)
+	}
+	for item, want := range map[int64]float64{0: 12273, 3: 12140, 7: 12830} {
+		if got := tr.Estimate(item); got != want {
+			t.Errorf("Estimate(%d) = %v, want %v", item, got, want)
+		}
+	}
+	// The long tail, folded: every estimate is an integer, so the weighted
+	// sum is exact in float64 and moves if any single answer does.
+	var tail float64
+	for item := int64(8); item < 50000; item++ {
+		tail += float64(item%97+1) * tr.Estimate(item)
+	}
+	if tail != 6307892 {
+		t.Errorf("weighted tail sum = %v, want 6307892", tail)
+	}
+	m := tr.Metrics()
+	if m.Words != 544931 || m.Messages != 366299 {
+		t.Errorf("Words, Messages = %d, %d; want 544931, 366299", m.Words, m.Messages)
+	}
+}
