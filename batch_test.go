@@ -132,7 +132,7 @@ func TestBatchEquivalenceConcurrent(t *testing.T) {
 	for i := 0; i < eqN; i += eqBlock {
 		ref.ObserveBatch(blockSite(i), eqBlock)
 	}
-	opt.Concurrent = true
+	opt.Transport = TransportGoroutine
 	conc := NewCountTracker(opt)
 	defer conc.Close()
 	for i := 0; i < eqN; i += eqBlock {
@@ -159,7 +159,7 @@ func TestRankBatchEquivalenceConcurrent(t *testing.T) {
 			for i := 0; i < eqN; i += eqBlock {
 				ref.ObserveBatch(blockSite(i), blockValue(i), eqBlock)
 			}
-			opt.Concurrent = true
+			opt.Transport = TransportGoroutine
 			conc := NewRankTracker(opt)
 			defer conc.Close()
 			for i := 0; i < eqN; i += eqBlock {

@@ -55,15 +55,11 @@ import (
 	"time"
 
 	"disttrack"
-	"disttrack/internal/count"
-	"disttrack/internal/freq"
 	"disttrack/internal/persist"
 	"disttrack/internal/proto"
-	"disttrack/internal/rank"
-	"disttrack/internal/robust"
+	"disttrack/internal/registry"
 	"disttrack/internal/runtime"
 	"disttrack/internal/runtime/tcp"
-	"disttrack/internal/sample"
 	"disttrack/internal/serve"
 	"disttrack/internal/stats"
 	"disttrack/internal/workload"
@@ -136,7 +132,6 @@ func singleProcessMain() {
 	seed := flag.Uint64("seed", 1, "RNG seed")
 	rescale := flag.Float64("rescale", 0, "internal eps rescale (0 = paper default 3)")
 	transport := flag.String("transport", "sequential", "sequential | goroutine | tcp")
-	concurrent := flag.Bool("concurrent", false, "legacy alias for -transport goroutine")
 	copies := flag.Int("copies", 0, "median-boost copies (randomized algorithms)")
 	robustMode := flag.Bool("robust", false,
 		"adversarially robust count tracking: noised reports + gated releases (count/randomized only)")
@@ -152,12 +147,9 @@ func singleProcessMain() {
 
 	algorithm := parseAlg(*alg)
 	tr := parseTransport(*transport)
-	if *concurrent && tr == disttrack.TransportSequential {
-		tr = disttrack.TransportGoroutine
-	}
-	if *robustMode && (*problem != "count" || algorithm != disttrack.AlgorithmRandomized || *copies > 0) {
-		fatalf("-robust needs -problem count -alg randomized (and no -copies)")
-	}
+	cfg := &distConfig{problem: *problem, alg: *alg, k: *k, eps: *eps, rescale: *rescale,
+		robust: *robustMode, copies: *copies, topology: *topology, fanout: *fanout}
+	cfg.check()
 
 	var faultPlan *disttrack.FaultPlan
 	if *faults != "" {
@@ -198,34 +190,16 @@ func singleProcessMain() {
 
 	opt := disttrack.Options{K: *k, Epsilon: *eps, Algorithm: algorithm, Seed: *seed,
 		Rescale: *rescale, Transport: tr, Copies: *copies, Robust: *robustMode, FaultPlan: faultPlan}
-	switch *topology {
-	case "flat":
-	case "tree":
-		// Friendly flag errors for the combos Options.validate would reject.
-		if *robustMode {
-			fatalf("-robust is incompatible with -topology tree")
-		}
-		if *copies > 1 {
-			fatalf("-copies is incompatible with -topology tree")
-		}
+	if cfg.tree() {
 		if *faults != "" {
 			fatalf("-faults is incompatible with -topology tree (use `tracksim chaos -topology tree` for tree faults)")
 		}
-		if algorithm == disttrack.AlgorithmDeterministic && *problem != "count" {
-			fatalf("-topology tree supports -alg deterministic for -problem count only")
-		}
-		if *fanout < 2 || *k <= *fanout {
-			fatalf("-topology tree needs -fanout >= 2 and -k > -fanout (got k=%d fanout=%d)", *k, *fanout)
-		}
 		opt.Topology, opt.Fanout = disttrack.TopologyTree, *fanout
-	default:
-		fatalf("unknown topology %q", *topology)
 	}
 	fmt.Printf("problem=%s alg=%s k=%d eps=%g n=%d workload=%s transport=%s copies=%d robust=%t\n",
 		*problem, algorithm, *k, *eps, *n, *wl, tr, *copies, *robustMode)
 	if opt.Topology == disttrack.TopologyTree {
-		fmt.Printf("topology=tree fanout=%d (%d aggregator shards)\n",
-			*fanout, (*k+*fanout-1) / *fanout)
+		fmt.Printf("topology=tree fanout=%d (%d aggregator shards)\n", *fanout, cfg.shape.Groups)
 	}
 	if faultPlan != nil {
 		fmt.Printf("faults: %q\n", *faults)
@@ -308,8 +282,6 @@ func singleProcessMain() {
 		}
 		metrics, faultStats = tr.Metrics(), tr.FaultStats()
 		fmt.Printf("rank(median value): estimate %.0f (truth %.0f)\n", tr.Rank(q), below)
-	default:
-		fatalf("unknown problem %q", *problem)
 	}
 
 	fmt.Printf("\naccuracy: %d/%d checkpoints outside the ε-band (%.1f%%)\n",
@@ -343,13 +315,7 @@ func producerRun(opt disttrack.Options, problem string, n, producers int,
 		sites[i] = placement(i)
 	}
 
-	type flusher interface {
-		Flush() error
-		Metrics() disttrack.Metrics
-		FaultStats() disttrack.FaultStats
-		Close() error
-	}
-	var tr flusher
+	var tr tracker
 	var observe func(i int)
 	var report func(m disttrack.Metrics)
 
@@ -401,8 +367,6 @@ func producerRun(opt disttrack.Options, problem string, n, producers int,
 					m.Dropped, n)
 			}
 		}
-	default:
-		fatalf("unknown problem %q", problem)
 	}
 	defer func() {
 		// A terminal transport failure surfaces through Close too; a load
@@ -539,8 +503,12 @@ type distConfig struct {
 	eps      float64
 	rescale  float64
 	robust   bool
+	copies   int // single-process mode only
 	topology string
 	fanout   int
+
+	// shape is the shard arithmetic of -topology tree, filled in by check.
+	shape proto.TreeShape
 }
 
 func distFlags(fs *flag.FlagSet) *distConfig {
@@ -569,65 +537,39 @@ func (c *distConfig) tree() bool {
 	panic("unreachable")
 }
 
-// checkTree validates the tree shape and the problem/alg combos that have
-// re-aggregation adapters, mirroring Options.validate on the facade.
-func (c *distConfig) checkTree() {
-	if !c.tree() {
-		return
+// spec maps the shared flags onto the registry's protocol spec. The zero
+// Seed is fine for the coordinator role: the robust release-noise stream
+// only has to be reproducible across a crash-restart of the same process,
+// not secret from the sites.
+func (c *distConfig) spec() registry.Spec {
+	return registry.Spec{Problem: registry.Problem(c.problem), Algorithm: registry.Algorithm(c.alg),
+		K: c.k, Eps: c.eps, Rescale: c.rescale, Robust: c.robust, Copies: c.copies}
+}
+
+// check is every entry point's gate, run before anything is built: the
+// registry decides which problem/alg/robust/copies/topology combinations
+// exist, proto.NewTreeShape which (k, fanout) pairs make a tree.
+func (c *distConfig) check() {
+	tree := c.tree()
+	err := c.spec().Check(tree)
+	if err == nil && tree {
+		c.shape, err = proto.NewTreeShape(c.k, c.fanout, c.eps)
 	}
-	if c.robust {
-		fatalf("-robust is incompatible with -topology tree")
-	}
-	if c.alg == "deterministic" && c.problem != "count" {
-		fatalf("-topology tree supports -alg deterministic for -problem count only")
-	}
-	if c.fanout < 2 {
-		fatalf("-fanout must be >= 2 (got %d)", c.fanout)
-	}
-	if c.groups() < 2 {
-		fatalf("-topology tree needs -k > -fanout (k=%d fanout=%d leaves a single shard; use -topology flat)",
-			c.k, c.fanout)
+	if err != nil {
+		fatalf("%v", err)
 	}
 }
 
-// groups is the number of aggregator shards: ceil(k / fanout).
-func (c *distConfig) groups() int { return (c.k + c.fanout - 1) / c.fanout }
-
-// groupSize is the number of leaf sites in shard g (the last shard may be
-// smaller).
-func (c *distConfig) groupSize(g int) int {
-	size := c.fanout
-	if rem := c.k - g*c.fanout; rem < size {
-		size = rem
-	}
-	return size
+// groupSpec is the shape of shard g's child-facing protocol: the aggregator
+// plays coordinator over the shard's leaves at the per-level ε.
+func (c *distConfig) groupSpec(g int) registry.Spec {
+	return c.spec().Level(c.shape, c.shape.Size(g))
 }
 
-// levelEps is the per-level error budget: (1+ε)^(1/2)−1 for the threshold
-// protocols so the two levels compose to ε exactly. Sampling runs both
-// levels at the full ε — its error is driven by retained-sample size, and
-// the resampled feed keeps the root's sample uniform over the whole stream.
-func (c *distConfig) levelEps() float64 {
-	if c.alg == "sampling" {
-		return c.eps
-	}
-	return proto.SplitEps(c.eps, 2)
-}
-
-// groupConfig is the shape of shard g's child-facing protocol: the
-// aggregator plays coordinator over groupSize(g) leaves at the per-level ε.
-func (c *distConfig) groupConfig(g int) *distConfig {
-	gc := *c
-	gc.topology, gc.k, gc.eps = "flat", c.groupSize(g), c.levelEps()
-	return &gc
-}
-
-// rootConfig is the shape of the top-level protocol: one site slot per
+// rootSpec is the shape of the top-level protocol: one site slot per
 // aggregator shard.
-func (c *distConfig) rootConfig() *distConfig {
-	rc := *c
-	rc.topology, rc.k, rc.eps = "flat", c.groups(), c.levelEps()
-	return &rc
+func (c *distConfig) rootSpec() registry.Spec {
+	return c.spec().Level(c.shape, c.shape.Groups)
 }
 
 // fingerprintAt extends the flat fingerprint with the tree link identity:
@@ -642,34 +584,24 @@ func (c *distConfig) fingerprintAt(level, shard int) uint64 {
 	return h.Sum64()
 }
 
-// aggregator builds shard g's child-facing machine — a proto.Aggregator
-// whose DrainFeed re-expresses absorbed leaf reports as virtual arrivals —
-// plus a report closure safe to run on the serving loop.
-func (c *distConfig) aggregator(g int) (proto.Aggregator, func()) {
-	gc := c.groupConfig(g)
-	switch c.problem + "/" + c.alg {
-	case "count/randomized":
-		a := count.NewAgg(count.NewCoordinator(count.Config{K: gc.k, Eps: gc.eps, Rescale: gc.rescale}))
-		return a, func() {
-			fmt.Printf("shard n̂ = %.0f (round %d, fed %d up)\n", a.Estimate(), a.Round(), a.Fed())
+// reporter renders a machine's headline answer — the problem's own query at
+// a fixed probe, plus the round when the machine has one — and is safe to
+// run on the serving loop.
+func reporter(label string, coord proto.Coordinator, q registry.Queries) func() {
+	return func() {
+		switch {
+		case q.Count != nil:
+			fmt.Printf("%sn̂ = %.0f", label, q.Count())
+		case q.Freq != nil:
+			fmt.Printf("%sf̂(0) = %.0f", label, q.Freq(0))
+		case q.Rank != nil:
+			fmt.Printf("%sn̂ = rank(∞) = %.0f", label, q.Rank(math.Inf(1)))
 		}
-	case "count/deterministic":
-		a := count.NewDetAgg(count.NewDetCoordinator(gc.k, gc.eps))
-		return a, func() { fmt.Printf("shard n̂ = %.0f\n", a.Estimate()) }
-	case "freq/randomized":
-		a := freq.NewAgg(freq.NewCoordinator(freq.Config{K: gc.k, Eps: gc.eps, Rescale: gc.rescale}))
-		return a, func() { fmt.Printf("shard f̂(0) = %.0f (round %d)\n", a.Estimate(0), a.Round()) }
-	case "rank/randomized":
-		a := rank.NewAgg(rank.NewCoordinator(rank.Config{K: gc.k, Eps: gc.eps, Rescale: gc.rescale}))
-		return a, func() { fmt.Printf("shard n̂ = rank(∞) = %.0f (round %d)\n", a.Rank(math.Inf(1)), a.Round()) }
-	case "count/sampling", "freq/sampling", "rank/sampling":
-		a := sample.NewAgg(sample.NewCoordinator(sample.Config{K: gc.k, Eps: gc.eps}))
-		return a, func() {
-			fmt.Printf("shard n̂ = %.0f, sample %d @ level %d\n", a.Count(), a.SampleLen(), a.Level())
+		if rc, ok := coord.(interface{ Round() int }); ok {
+			fmt.Printf(" (round %d)", rc.Round())
 		}
+		fmt.Println()
 	}
-	fatalf("-topology tree: no re-aggregation adapter for %s/%s", c.problem, c.alg)
-	panic("unreachable")
 }
 
 // feedingCoord mounts a proto.Aggregator as a tcp.Server coordinator: each
@@ -726,79 +658,6 @@ func (c *distConfig) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// robustConfig maps the shared flags onto the robust protocol's config.
-// The zero Seed is fine for the coordinator role: the release-noise stream
-// only has to be reproducible across a crash-restart of the same process,
-// not secret from the sites.
-func (c *distConfig) robustConfig() robust.Config {
-	if c.problem != "count" || c.alg != "randomized" {
-		fatalf("-robust needs -problem count -alg randomized")
-	}
-	return robust.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}
-}
-
-// coordinator builds the coordinator machine plus a report closure that is
-// safe to run on the serving loop.
-func (c *distConfig) coordinator() (proto.Coordinator, func()) {
-	if c.robust {
-		co := robust.NewCoordinator(c.robustConfig())
-		return co, func() { fmt.Printf("released n̂ = %.0f (round %d)\n", co.Estimate(), co.Round()) }
-	}
-	switch c.problem + "/" + c.alg {
-	case "count/randomized":
-		co := count.NewCoordinator(count.Config{K: c.k, Eps: c.eps, Rescale: c.rescale})
-		return co, func() { fmt.Printf("estimate n̂ = %.0f (round %d)\n", co.Estimate(), co.Round()) }
-	case "count/deterministic":
-		co := count.NewDetCoordinator(c.k, c.eps)
-		return co, func() { fmt.Printf("estimate n̂ = %.0f\n", co.Estimate()) }
-	case "freq/randomized":
-		co := freq.NewCoordinator(freq.Config{K: c.k, Eps: c.eps, Rescale: c.rescale})
-		return co, func() { fmt.Printf("f̂(0) = %.0f (round %d)\n", co.Estimate(0), co.Round()) }
-	case "freq/deterministic":
-		co := freq.NewDetCoordinator(c.k)
-		return co, func() { fmt.Printf("f̂(0) = %.0f\n", co.Estimate(0)) }
-	case "rank/randomized":
-		co := rank.NewCoordinator(rank.Config{K: c.k, Eps: c.eps, Rescale: c.rescale})
-		return co, func() { fmt.Printf("n̂ = rank(∞) = %.0f (round %d)\n", co.Rank(math.Inf(1)), co.Round()) }
-	case "rank/deterministic":
-		co := rank.NewDetCoordinator(c.k)
-		return co, func() { fmt.Printf("n̂ = rank(∞) = %.0f\n", co.Rank(math.Inf(1))) }
-	case "count/sampling", "freq/sampling", "rank/sampling":
-		co := sample.NewCoordinator(sample.Config{K: c.k, Eps: c.eps})
-		return co, func() {
-			fmt.Printf("n̂ = %.0f, sample %d @ level %d\n", co.Count(), co.SampleLen(), co.Level())
-		}
-	}
-	fatalf("unknown problem/alg %s/%s", c.problem, c.alg)
-	panic("unreachable")
-}
-
-// site builds one site machine.
-func (c *distConfig) site(seed uint64) proto.Site {
-	rng := stats.New(seed)
-	if c.robust {
-		return robust.NewSite(c.robustConfig(), rng, rng.Split())
-	}
-	switch c.problem + "/" + c.alg {
-	case "count/randomized":
-		return count.NewSite(count.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}, rng)
-	case "count/deterministic":
-		return count.NewDetSite(c.eps)
-	case "freq/randomized":
-		return freq.NewSite(freq.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}, rng)
-	case "freq/deterministic":
-		return freq.NewDetSite(c.k, c.eps)
-	case "rank/randomized":
-		return rank.NewSite(rank.Config{K: c.k, Eps: c.eps, Rescale: c.rescale}, rng)
-	case "rank/deterministic":
-		return rank.NewDetSite(c.k, c.eps)
-	case "count/sampling", "freq/sampling", "rank/sampling":
-		return sample.NewSite(rng)
-	}
-	fatalf("unknown problem/alg %s/%s", c.problem, c.alg)
-	panic("unreachable")
-}
-
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	cfg := distFlags(fs)
@@ -833,7 +692,7 @@ func serveMain(args []string) {
 	if *snapEvery != 0 && *walDir == "" {
 		fatalf("-snapevery needs -wal")
 	}
-	cfg.checkTree()
+	cfg.check()
 	if *walDir != "" && cfg.tree() {
 		// The root's WAL would capture aggregator estimate-deltas while a
 		// crashed aggregator rejoins by replaying absolute state from zero —
@@ -855,11 +714,12 @@ func serveMain(args []string) {
 	// With -topology tree this process is the root: it serves one slot per
 	// aggregator shard (each played by a tracksim aggregate process) at the
 	// per-level ε, and cannot tell an aggregator from a busy site.
-	shape, fingerprint := cfg, cfg.fingerprint()
+	spec, fingerprint := cfg.spec(), cfg.fingerprint()
 	if cfg.tree() {
-		shape, fingerprint = cfg.rootConfig(), cfg.fingerprintAt(1, 0)
+		spec, fingerprint = cfg.rootSpec(), cfg.fingerprintAt(1, 0)
 	}
-	coord, report := shape.coordinator()
+	coord, queries := registry.Coordinator(spec)
+	report := reporter("", coord, queries)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatalf("listen %s: %v", *addr, err)
@@ -867,7 +727,7 @@ func serveMain(args []string) {
 	defer ln.Close()
 	if cfg.tree() {
 		fmt.Printf("root coordinator: problem=%s alg=%s k=%d fanout=%d eps=%g listening on %s for %d aggregator shards\n",
-			cfg.problem, cfg.alg, cfg.k, cfg.fanout, cfg.eps, ln.Addr(), shape.k)
+			cfg.problem, cfg.alg, cfg.k, cfg.fanout, cfg.eps, ln.Addr(), spec.K)
 	} else {
 		fmt.Printf("coordinator: problem=%s alg=%s k=%d eps=%g listening on %s\n",
 			cfg.problem, cfg.alg, cfg.k, cfg.eps, ln.Addr())
@@ -875,7 +735,7 @@ func serveMain(args []string) {
 
 	srv := &tcp.Server{
 		Coord:       coord,
-		K:           shape.k,
+		K:           spec.K,
 		Config:      fingerprint,
 		RejoinWait:  *rejoinWait,
 		ReportEvery: *reportEvery,
@@ -907,7 +767,7 @@ func serveMain(args []string) {
 			topo = "tree"
 		}
 		api := &serve.Server{
-			Backend: distFuncs(shape, coord, backend, *quantLo, *quantHi),
+			Backend: distFuncs(queries, backend, *quantLo, *quantHi),
 			Info: serve.Info{Problem: cfg.problem, Algorithm: cfg.alg, Transport: "tcp",
 				Topology: topo, K: cfg.k, Epsilon: cfg.eps},
 		}
@@ -957,7 +817,7 @@ func serveMain(args []string) {
 		fmt.Printf("\nrun ended with lost sites; partial final state:\n")
 	default:
 		if cfg.tree() {
-			fmt.Printf("\nall %d aggregator shards finished; final state:\n", shape.k)
+			fmt.Printf("\nall %d aggregator shards finished; final state:\n", spec.K)
 		} else {
 			fmt.Printf("\nall %d sites finished; final state:\n", cfg.k)
 		}
@@ -974,7 +834,7 @@ func serveMain(args []string) {
 	fmt.Printf("messages:   %d\n", m.Messages())
 	fmt.Printf("words:      %d\n", m.Words())
 	fmt.Printf("broadcasts: %d\n", m.Broadcasts)
-	fmt.Printf("live sites: %d of %d\n", m.LiveSites, shape.k)
+	fmt.Printf("live sites: %d of %d\n", m.LiveSites, spec.K)
 	if *walDir != "" {
 		fmt.Printf("durability: %d snapshots, %d WAL frames replayed on start, %d resyncs served\n",
 			m.Snapshots, m.ReplayedFrames, m.Resyncs)
@@ -998,8 +858,6 @@ func streamOne(cfg *distConfig, sc *tcp.SiteConn, site, i int, items func(int) i
 		sc.Arrive(items(i), 0)
 	case "rank":
 		sc.Arrive(0, float64(i*cfg.k+site))
-	default:
-		fatalf("unknown problem %q", cfg.problem)
 	}
 }
 
@@ -1018,32 +876,28 @@ func connectMain(args []string) {
 	redialAttempts := fs.Int("redialattempts", tcp.DefaultRedialAttempts,
 		"reconnection attempts before giving up (with -reconnect); raise to ride out a coordinator restart")
 	fs.Parse(args)
-	cfg.checkTree()
+	cfg.check()
 
 	// The leaf's identity: who it dials, its slot there, the machine's shape,
 	// and the globally distinct stream offset (rank values must not collide
 	// across shards, so the stream is indexed by the global leaf number).
-	slotK, fingerprint, global := cfg.k, cfg.fingerprint(), *site
-	machineCfg := cfg
+	spec, fingerprint, global := cfg.spec(), cfg.fingerprint(), *site
 	if cfg.tree() {
-		if *shard < 0 || *shard >= cfg.groups() {
-			fatalf("shard %d out of range [0, %d)", *shard, cfg.groups())
+		if *shard < 0 || *shard >= cfg.shape.Groups {
+			fatalf("shard %d out of range [0, %d)", *shard, cfg.shape.Groups)
 		}
-		if *site < 0 || *site >= cfg.groupSize(*shard) {
-			fatalf("site %d out of range [0, %d) for shard %d", *site, cfg.groupSize(*shard), *shard)
-		}
-		machineCfg = cfg.groupConfig(*shard)
-		slotK, fingerprint = machineCfg.k, cfg.fingerprintAt(0, *shard)
+		spec, fingerprint = cfg.groupSpec(*shard), cfg.fingerprintAt(0, *shard)
 		global = *shard*cfg.fanout + *site
-	} else if *site < 0 || *site >= cfg.k {
-		fatalf("site %d out of range [0, %d)", *site, cfg.k)
+	}
+	if *site < 0 || *site >= spec.K {
+		fatalf("site %d out of range [0, %d)", *site, spec.K)
 	}
 	if *seed == 0 {
 		*seed = uint64(global) + 1
 	}
 
-	machine := machineCfg.site(*seed)
-	sc, err := tcp.DialSite(*addr, *site, slotK, fingerprint, machine)
+	machine := registry.Site(spec, stats.New(*seed))
+	sc, err := tcp.DialSite(*addr, *site, spec.K, fingerprint, machine)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -1106,30 +960,32 @@ func aggregateMain(args []string) {
 		"parent reconnection attempts before giving up (with -reconnect)")
 	fs.Parse(args)
 	cfg.topology = "tree" // aggregate is meaningless in a flat star
-	cfg.checkTree()
-	if *shard < 0 || *shard >= cfg.groups() {
-		fatalf("shard %d out of range [0, %d)", *shard, cfg.groups())
+	cfg.check()
+	groups := cfg.shape.Groups
+	if *shard < 0 || *shard >= groups {
+		fatalf("shard %d out of range [0, %d)", *shard, groups)
 	}
 	if *seed == 0 {
 		*seed = uint64(*shard) + 1
 	}
-	size := cfg.groupSize(*shard)
-	agg, report := cfg.aggregator(*shard)
+	size := cfg.shape.Size(*shard)
+	agg, queries := registry.Aggregator(cfg.groupSpec(*shard))
+	report := reporter("shard ", agg, queries)
 
 	// Parent link first: the shard must hold (or reclaim) its root slot
 	// before absorbing leaf traffic it would have nowhere to feed.
-	parentSite := func() proto.Site { return cfg.rootConfig().site(*seed) }
+	parentSite := func() proto.Site { return registry.Site(cfg.rootSpec(), stats.New(*seed)) }
 	var sc *tcp.SiteConn
 	var err error
 	if *rejoin {
 		var acked int64
-		sc, acked, err = rejoinLoop(*parent, *shard, cfg.groups(), cfg.fingerprintAt(1, 0), parentSite, *rejoinWait)
+		sc, acked, err = rejoinLoop(*parent, *shard, groups, cfg.fingerprintAt(1, 0), parentSite, *rejoinWait)
 		if err == nil {
 			fmt.Printf("aggregator %d: reclaimed root slot (root had acknowledged %d virtual arrivals); leaves must replay from 0\n",
 				*shard, acked)
 		}
 	} else {
-		sc, err = tcp.DialSite(*parent, *shard, cfg.groups(), cfg.fingerprintAt(1, 0), parentSite())
+		sc, err = tcp.DialSite(*parent, *shard, groups, cfg.fingerprintAt(1, 0), parentSite())
 	}
 	if err != nil {
 		fatalf("aggregator %d: parent %s: %v", *shard, *parent, err)
@@ -1143,7 +999,7 @@ func aggregateMain(args []string) {
 	}
 	defer ln.Close()
 	fmt.Printf("aggregator: problem=%s alg=%s shard=%d of %d, listening on %s for %d leaves, feeding %s\n",
-		cfg.problem, cfg.alg, *shard, cfg.groups(), ln.Addr(), size, *parent)
+		cfg.problem, cfg.alg, *shard, groups, ln.Addr(), size, *parent)
 
 	srv := &tcp.Server{
 		Coord:       newFeedingCoord(agg, sc.ArriveBatch),
@@ -1228,7 +1084,8 @@ func rejoinLoop(addr string, slot, k int, config uint64, machine func() proto.Si
 // machine lost), rejoin through the recovery handshake, and replay their
 // stream from 0; the protocols' absolute-state messages make the replay
 // reconverge exactly, so the run must finish with every arrival accounted
-// and (for count) the ε guarantee intact. Exits non-zero otherwise.
+// and (for families that answer a count query) the ε guarantee intact — see
+// gateCount. Exits non-zero otherwise.
 //
 // With -coordkill the coordinator itself also crashes mid-run — abruptly,
 // no final snapshot — and a replacement recovers its state from the durable
@@ -1252,13 +1109,13 @@ func chaosMain(args []string) {
 		"also crash the coordinator mid-run (abrupt, no final snapshot) and resume it from its durable store")
 	snapEvery := fs.Int64("snapevery", 32, "snapshot cadence in logged frames for the -coordkill store")
 	fs.Parse(args)
-	cfg.checkTree()
+	cfg.check()
 	if cfg.tree() {
 		if *coordKill {
 			fatalf("-coordkill is a flat-star drill (it exercises the durable store); the tree drill kills aggregators")
 		}
-		if *kills < 0 || *kills > cfg.groups() {
-			fatalf("-kills %d out of range [0, %d] (tree kills target aggregator shards)", *kills, cfg.groups())
+		if *kills < 0 || *kills > cfg.shape.Groups {
+			fatalf("-kills %d out of range [0, %d] (tree kills target aggregator shards)", *kills, cfg.shape.Groups)
 		}
 		chaosTree(cfg, *n, *kills, *seed, *rejoinWait)
 		return
@@ -1267,7 +1124,8 @@ func chaosMain(args []string) {
 		fatalf("-kills %d out of range [0, %d]", *kills, cfg.k)
 	}
 
-	coord, _ := cfg.coordinator()
+	spec := cfg.spec()
+	coord, queries := registry.Coordinator(spec)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatalf("listen: %v", err)
@@ -1331,7 +1189,8 @@ func chaosMain(args []string) {
 			defer wg.Done()
 			siteSeed := uint64(site) + 1
 			items := workload.ZipfItems(1000, 1.1, stats.New(siteSeed^0xfeed))
-			sc, err := tcp.DialSite(addr, site, cfg.k, cfg.fingerprint(), cfg.site(siteSeed))
+			fresh := func() proto.Site { return registry.Site(spec, stats.New(siteSeed)) }
+			sc, err := tcp.DialSite(addr, site, cfg.k, cfg.fingerprint(), fresh())
 			if err != nil {
 				fatalf("site %d: %v", site, err)
 			}
@@ -1354,16 +1213,9 @@ func chaosMain(args []string) {
 				fmt.Printf("chaos: site %d crashed at %d/%d arrivals\n", site, killAt[site], *n)
 				// The replacement process: fresh machine, same seed, full
 				// replay (the stream source is replayable).
-				deadline := time.Now().Add(*rejoinWait)
-				for {
-					sc, _, err = tcp.RejoinSite(addr, site, cfg.k, cfg.fingerprint(), 0, cfg.site(siteSeed))
-					if err == nil {
-						break
-					}
-					if time.Now().After(deadline) {
-						fatalf("site %d: rejoin never accepted: %v", site, err)
-					}
-					time.Sleep(20 * time.Millisecond)
+				sc, _, err = rejoinLoop(addr, site, cfg.k, cfg.fingerprint(), fresh, *rejoinWait)
+				if err != nil {
+					fatalf("site %d: rejoin never accepted: %v", site, err)
 				}
 				harden(sc)
 				fmt.Printf("chaos: site %d rejoined (coordinator had acknowledged %d arrivals), replaying\n",
@@ -1398,7 +1250,7 @@ func chaosMain(args []string) {
 			fatalf("chaos: re-listen %s: %v", addr, err)
 		}
 		defer ln2.Close()
-		coord, _ = cfg.coordinator() // fresh machine; recovery fills it from the store
+		coord, queries = registry.Coordinator(spec) // fresh machine; recovery fills it from the store
 		srv = &tcp.Server{Coord: coord, K: cfg.k, Config: cfg.fingerprint(),
 			RejoinWait: *rejoinWait, Persist: store, SnapshotEvery: *snapEvery, Resume: true}
 		go func() {
@@ -1433,15 +1285,30 @@ func chaosMain(args []string) {
 	if totalRejoins < int64(*kills) {
 		fatalf("chaos: only %d rejoins recorded for %d kills", totalRejoins, *kills)
 	}
-	if cfg.problem == "count" && cfg.alg == "randomized" {
-		est := coord.(interface{ Estimate() float64 }).Estimate()
-		rel := stats.RelErr(est, float64(truth))
-		fmt.Printf("estimate:   %.0f (rel err %.4f, ε %g)\n", est, rel, cfg.eps)
-		if rel > cfg.eps {
-			fatalf("chaos: estimate left the ε band after recovery")
-		}
-	}
+	gateCount(spec, queries, truth, cfg.eps, "recovery")
 	fmt.Println("CHAOS OK")
+}
+
+// gateCount is the chaos drills' accuracy gate for every family that answers
+// a count query: the final estimate is printed against the leaf truth and,
+// outside the ε band, fails the drill. The sampling baseline only warns: one
+// instant of it leaves the band with probability ≈ 1/3 by construction (1/2
+// through a tree — the δ budgets of guarantee_test.go), kills or no kills, so
+// a single run cannot tell a recovery bug from its variance.
+func gateCount(spec registry.Spec, q registry.Queries, truth int64, eps float64, after string) {
+	if q.Count == nil {
+		return
+	}
+	est := q.Count()
+	rel := stats.RelErr(est, float64(truth))
+	fmt.Printf("estimate:   %.0f (rel err %.4f, ε %g)\n", est, rel, eps)
+	switch {
+	case rel <= eps:
+	case spec.Algorithm == registry.Sampling:
+		fmt.Printf("warning: estimate outside the ε band after %s (sampling holds it with constant probability only)\n", after)
+	default:
+		fatalf("chaos: estimate left the ε band after %s", after)
+	}
 }
 
 // chaosTree is the tree variant of the chaos drill: a full two-level
@@ -1453,19 +1320,19 @@ func chaosMain(args []string) {
 // the shard's leaves redial it and replay from 0. The protocols'
 // absolute-state messages make the rebuilt subtree reconverge exactly at
 // the root — the subtree is the unit of recovery — so the run must end with
-// every shard live, every kill recovered, and (for count/randomized) the ε
-// guarantee intact. Exits non-zero otherwise.
+// every shard live, every kill recovered, and (gateCount) the ε guarantee
+// intact. Exits non-zero otherwise.
 //
 // The root's arrival ledger is NOT checked against the leaf truth: shards
 // feed re-expressed virtual arrivals, which for the threshold protocols are
 // an ε-accurate image of the leaf total, not an exact count.
 func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Duration) {
-	groups := cfg.groups()
-	rootCfg := cfg.rootConfig()
+	groups := cfg.shape.Groups
+	rootSpec := cfg.rootSpec()
 	fpRoot := cfg.fingerprintAt(1, 0)
 	truth := int64(cfg.k) * int64(n)
 
-	coord, _ := rootCfg.coordinator()
+	coord, queries := registry.Coordinator(rootSpec)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fatalf("listen: %v", err)
@@ -1489,7 +1356,7 @@ func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Durat
 	killAt := make([]int64, groups) // 0 = never
 	for s := 1; s <= kills; s++ {
 		g := s % groups
-		killAt[g] = int64(cfg.groupSize(g)) * int64(n/4+chaosRNG.Intn(n/2))
+		killAt[g] = int64(cfg.shape.Size(g)) * int64(n/4+chaosRNG.Intn(n/2))
 	}
 
 	fmt.Printf("chaos: problem=%s alg=%s k=%d fanout=%d (%d shards) eps=%g n=%d/leaf kills=%d seed=%d\n",
@@ -1501,17 +1368,17 @@ func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Durat
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			size := cfg.groupSize(g)
+			size := cfg.shape.Size(g)
 			fpShard := cfg.fingerprintAt(0, g)
-			leafCfg := cfg.groupConfig(g)
+			leafSpec := cfg.groupSpec(g)
 			for attempt := 1; ; attempt++ {
-				agg, _ := cfg.aggregator(g)
+				agg, _ := registry.Aggregator(leafSpec)
 
 				// Parent link first: dial on the first life, reclaim the
 				// abandoned slot on a rebuild.
 				var sc *tcp.SiteConn
 				var err error
-				freshSite := func() proto.Site { return rootCfg.site(uint64(g) + 1) }
+				freshSite := func() proto.Site { return registry.Site(rootSpec, stats.New(uint64(g)+1)) }
 				if attempt == 1 {
 					sc, err = tcp.DialSite(rootAddr, g, groups, fpRoot, freshSite())
 				} else {
@@ -1563,7 +1430,7 @@ func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Durat
 						global := g*cfg.fanout + l
 						leafSeed := uint64(global) + 1
 						items := workload.ZipfItems(1000, 1.1, stats.New(leafSeed^0xfeed))
-						lc, err := tcp.DialSite(aggAddr, l, size, fpShard, leafCfg.site(leafSeed))
+						lc, err := tcp.DialSite(aggAddr, l, size, fpShard, registry.Site(leafSpec, stats.New(leafSeed)))
 						if err != nil {
 							// The aggregator died during assembly; the rebuild
 							// respawns this leaf.
@@ -1635,13 +1502,6 @@ func chaosTree(cfg *distConfig, n, kills int, seed uint64, rejoinWait time.Durat
 	if root.Rejoins < int64(kills) {
 		fatalf("chaos: only %d aggregator rejoins recorded for %d kills", root.Rejoins, kills)
 	}
-	if cfg.problem == "count" && cfg.alg == "randomized" {
-		est := coord.(interface{ Estimate() float64 }).Estimate()
-		rel := stats.RelErr(est, float64(truth))
-		fmt.Printf("estimate: %.0f (rel err %.4f, ε %g)\n", est, rel, cfg.eps)
-		if rel > cfg.eps {
-			fatalf("chaos: estimate left the ε band after subtree recovery")
-		}
-	}
+	gateCount(rootSpec, queries, truth, cfg.eps, "subtree recovery")
 	fmt.Println("CHAOS OK")
 }

@@ -25,8 +25,7 @@ import (
 	"time"
 
 	"disttrack"
-	"disttrack/internal/proto"
-	"disttrack/internal/rank"
+	"disttrack/internal/registry"
 	"disttrack/internal/runtime"
 	"disttrack/internal/runtime/tcp"
 	"disttrack/internal/serve"
@@ -61,78 +60,65 @@ func localSnapshot(m disttrack.Metrics, fs disttrack.FaultStats) serve.Snapshot 
 	}
 }
 
+// tracker is what the facade's three trackers share.
+type tracker interface {
+	Flush() error
+	Metrics() disttrack.Metrics
+	FaultStats() disttrack.FaultStats
+	Close() error
+}
+
 // localTracker owns one in-process tracker facade wired into the serving
 // surface: ObserveFn feeds the concurrent ingestion frontend, queries read
-// quiesced snapshots, and close seals the store (final snapshot + sync).
+// quiesced snapshots, and Close seals the store (final snapshot + sync).
 type localTracker struct {
+	tracker
 	backend serve.Funcs
-	flush   func() error
-	close   func() error
-	metrics func() disttrack.Metrics
 }
 
 func newLocalTracker(cfg *distConfig, opt disttrack.Options, qlo, qhi float64) localTracker {
+	var lt localTracker
+	f := &lt.backend
 	switch cfg.problem {
 	case "count":
 		t := disttrack.NewCountTracker(opt)
-		return localTracker{
-			backend: serve.Funcs{
-				CountFn: func() (float64, error) { return t.Estimate(), nil },
-				ObserveFn: func(site int, _ int64, _ float64, n int64) error {
-					t.ObserveBatch(site, int(n))
-					return nil
-				},
-				FlushFn: t.Flush,
-				SnapshotFn: func() (serve.Snapshot, error) {
-					return localSnapshot(t.Metrics(), t.FaultStats()), nil
-				},
-			},
-			flush: t.Flush, close: t.Close, metrics: t.Metrics,
+		lt.tracker = t
+		f.CountFn = func() (float64, error) { return t.Estimate(), nil }
+		f.ObserveFn = func(site int, _ int64, _ float64, n int64) error {
+			t.ObserveBatch(site, int(n))
+			return nil
 		}
 	case "freq":
 		t := disttrack.NewFrequencyTracker(opt)
-		return localTracker{
-			backend: serve.Funcs{
-				FreqFn: func(item int64) (float64, error) { return t.Estimate(item), nil },
-				ObserveFn: func(site int, item int64, _ float64, n int64) error {
-					t.ObserveBatch(site, item, int(n))
-					return nil
-				},
-				FlushFn: t.Flush,
-				SnapshotFn: func() (serve.Snapshot, error) {
-					return localSnapshot(t.Metrics(), t.FaultStats()), nil
-				},
-			},
-			flush: t.Flush, close: t.Close, metrics: t.Metrics,
+		lt.tracker = t
+		f.FreqFn = func(item int64) (float64, error) { return t.Estimate(item), nil }
+		f.ObserveFn = func(site int, item int64, _ float64, n int64) error {
+			t.ObserveBatch(site, item, int(n))
+			return nil
 		}
 	case "rank":
 		t := disttrack.NewRankTracker(opt)
-		return localTracker{
-			backend: serve.Funcs{
-				RankFn: func(x float64) (float64, error) { return t.Rank(x), nil },
-				QuantileFn: func(phi float64) (float64, error) {
-					v := t.Quantile(phi, qlo, qhi)
-					if math.IsNaN(v) {
-						return 0, errors.New("no values observed yet")
-					}
-					return v, nil
-				},
-				// The total count is the rank of +∞ — free on a rank tracker.
-				CountFn: func() (float64, error) { return t.Rank(math.Inf(1)), nil },
-				ObserveFn: func(site int, _ int64, value float64, n int64) error {
-					t.ObserveBatch(site, value, int(n))
-					return nil
-				},
-				FlushFn: t.Flush,
-				SnapshotFn: func() (serve.Snapshot, error) {
-					return localSnapshot(t.Metrics(), t.FaultStats()), nil
-				},
-			},
-			flush: t.Flush, close: t.Close, metrics: t.Metrics,
+		lt.tracker = t
+		f.RankFn = func(x float64) (float64, error) { return t.Rank(x), nil }
+		f.QuantileFn = func(phi float64) (float64, error) {
+			v := t.Quantile(phi, qlo, qhi)
+			if math.IsNaN(v) {
+				return 0, errors.New("no values observed yet")
+			}
+			return v, nil
+		}
+		// The total count is the rank of +∞ — free on a rank tracker.
+		f.CountFn = func() (float64, error) { return t.Rank(math.Inf(1)), nil }
+		f.ObserveFn = func(site int, _ int64, value float64, n int64) error {
+			t.ObserveBatch(site, value, int(n))
+			return nil
 		}
 	}
-	fatalf("unknown problem %q", cfg.problem)
-	panic("unreachable")
+	f.FlushFn = lt.Flush
+	f.SnapshotFn = func() (serve.Snapshot, error) {
+		return localSnapshot(lt.Metrics(), lt.FaultStats()), nil
+	}
+	return lt
 }
 
 // serveLocal hosts the tracker in this process: ingest and queries both
@@ -189,13 +175,13 @@ func serveLocal(cfg *distConfig, httpAddr, transport string, seed uint64, walDir
 	if err := hs.Shutdown(ctx); err != nil {
 		hs.Close()
 	}
-	if err := lt.flush(); err != nil {
+	if err := lt.Flush(); err != nil {
 		fmt.Fprintf(os.Stderr, "warning: flush: %v\n", err)
 	}
-	if err := lt.close(); err != nil {
+	if err := lt.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "warning: close: %v\n", err)
 	}
-	m := lt.metrics()
+	m := lt.Metrics()
 	fmt.Printf("drained: %d arrivals (%d dropped), %d messages, %d words, %d broadcasts\n",
 		m.Arrivals, m.Dropped, m.Messages, m.Words, m.Broadcasts)
 	if walDir != "" {
@@ -253,11 +239,11 @@ func distSnapshot(m runtime.Metrics) serve.Snapshot {
 	}
 }
 
-// distFuncs wires the distributed coordinator's query capabilities into
-// the serving surface. Only the deployment's own problem is exposed — a
-// count coordinator asked for ranks answers 404, not garbage. There is no
+// distFuncs wires the distributed coordinator's queries into the serving
+// surface. Only the deployment's own problem is exposed — a count
+// coordinator asked for ranks answers 404, not garbage. There is no
 // ObserveFn: ingestion happens on the site processes.
-func distFuncs(shape *distConfig, coord proto.Coordinator, b *distBackend, qlo, qhi float64) serve.Funcs {
+func distFuncs(q registry.Queries, b *distBackend, qlo, qhi float64) serve.Funcs {
 	f := serve.Funcs{
 		SnapshotFn: func() (serve.Snapshot, error) {
 			var s serve.Snapshot
@@ -275,46 +261,24 @@ func distFuncs(shape *distConfig, coord proto.Coordinator, b *distBackend, qlo, 
 		}
 		return v, nil
 	}
-	switch shape.problem {
-	case "count":
-		switch co := coord.(type) {
-		case interface{ Estimate() float64 }: // randomized, deterministic, robust
-			f.CountFn = func() (float64, error) { return query(co.Estimate) }
-		case interface{ Count() float64 }: // sampling
-			f.CountFn = func() (float64, error) { return query(co.Count) }
+	if q.Count != nil {
+		f.CountFn = func() (float64, error) { return query(q.Count) }
+	}
+	if q.Freq != nil {
+		f.FreqFn = func(item int64) (float64, error) {
+			return query(func() float64 { return q.Freq(item) })
 		}
-	case "freq":
-		switch co := coord.(type) {
-		case interface{ Estimate(int64) float64 }: // randomized, deterministic
-			f.FreqFn = func(item int64) (float64, error) {
-				return query(func() float64 { return co.Estimate(item) })
-			}
-		case interface{ Freq(int64) float64 }: // sampling
-			f.FreqFn = func(item int64) (float64, error) {
-				return query(func() float64 { return co.Freq(item) })
-			}
-		}
-	case "rank":
-		co, ok := coord.(interface{ Rank(float64) float64 })
-		if !ok {
-			break
-		}
+	}
+	if q.Rank != nil {
 		f.RankFn = func(x float64) (float64, error) {
-			return query(func() float64 { return co.Rank(x) })
+			return query(func() float64 { return q.Rank(x) })
 		}
+		// The total count is the rank of +∞ — free on a rank tracker.
 		f.CountFn = func() (float64, error) {
-			return query(func() float64 { return co.Rank(math.Inf(1)) })
+			return query(func() float64 { return q.Rank(math.Inf(1)) })
 		}
-		if qc, ok := coord.(interface {
-			Quantile(q, lo, hi float64) float64
-		}); ok { // randomized, deterministic
-			f.QuantileFn = func(phi float64) (float64, error) {
-				return query(func() float64 { return qc.Quantile(phi, qlo, qhi) })
-			}
-		} else { // sampling: bisect over the rank capability
-			f.QuantileFn = func(phi float64) (float64, error) {
-				return query(func() float64 { return rank.Bisect(co.Rank)(phi, qlo, qhi) })
-			}
+		f.QuantileFn = func(phi float64) (float64, error) {
+			return query(func() float64 { return q.Quantile(phi, qlo, qhi) })
 		}
 	}
 	return f

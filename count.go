@@ -1,18 +1,6 @@
 package disttrack
 
-import (
-	"disttrack/internal/count"
-	"disttrack/internal/proto"
-	"disttrack/internal/robust"
-	"disttrack/internal/sample"
-)
-
-// robustConfig maps the facade options onto the robust protocol's config.
-// The seed rides along so a crash-restarted coordinator rebuilds the same
-// release-noise stream (robust.Config.Seed).
-func robustConfig(o Options) robust.Config {
-	return robust.Config{K: o.K, Eps: o.Epsilon, Rescale: o.Rescale, Seed: o.Seed}
-}
+import "disttrack/internal/registry"
 
 // CountTracker continuously tracks n(t), the total number of elements
 // received across all sites (the paper's count-tracking problem, Section 2).
@@ -22,64 +10,15 @@ func robustConfig(o Options) robust.Config {
 // from any number of goroutines. The embedded core provides Flush,
 // Metrics, and Close.
 type CountTracker struct {
-	opt Options
-	k   int // == opt.K, hot-path copy on the same cache line as eng/fe
+	k int // == Options.K, hot-path copy on the same cache line as eng/fe
 	core
 	est func() float64
 }
 
 // NewCountTracker builds a count tracker. It panics on invalid options.
 func NewCountTracker(opt Options) *CountTracker {
-	opt.validate()
-	t := &CountTracker{opt: opt, k: opt.K}
-	switch opt.Algorithm {
-	case AlgorithmRandomized:
-		cfg := count.Config{K: opt.K, Eps: opt.Epsilon, Rescale: opt.Rescale}
-		if opt.Topology == TopologyTree {
-			// Robust and Copies > 1 are rejected by Options.validate.
-			tp, coord := count.NewTreeProtocol(cfg, opt.Fanout, opt.Seed)
-			t.mountCoreTree(opt, tp)
-			t.est = coord.Estimate
-		} else if opt.Robust {
-			p, coord := robust.NewProtocol(robustConfig(opt))
-			t.mountCore(opt, p)
-			t.est = coord.Estimate
-		} else if opt.Copies > 1 {
-			p, coord := count.NewMedianProtocol(cfg, opt.Copies, opt.Seed)
-			t.mountCore(opt, p)
-			t.est = coord.Estimate
-		} else {
-			p, coord := count.NewProtocol(cfg, opt.Seed)
-			t.mountCore(opt, p)
-			t.est = coord.Estimate
-		}
-	case AlgorithmDeterministic:
-		if opt.Topology == TopologyTree {
-			// The deterministic count reports merge by summation, so this
-			// baseline keeps its δ=0 guarantee through re-aggregation.
-			tp, coord := count.NewDetTreeProtocol(opt.K, opt.Epsilon, opt.Fanout)
-			t.mountCoreTree(opt, tp)
-			t.est = coord.Estimate
-		} else {
-			p, coord := count.NewDetProtocol(opt.K, opt.Epsilon)
-			t.mountCore(opt, p)
-			t.est = coord.Estimate
-		}
-	case AlgorithmSampling:
-		scfg := sample.Config{K: opt.K, Eps: opt.Epsilon}
-		if opt.Topology == TopologyTree {
-			tp, coord := sample.NewTreeProtocol(scfg, opt.Fanout, opt.Seed)
-			t.mountCoreTree(opt, tp)
-			t.est = coord.Count
-		} else {
-			p, coord := sample.NewProtocol(scfg, opt.Seed)
-			t.mountCore(opt, p)
-			t.est = coord.Count
-		}
-	default:
-		panic("disttrack: unknown Algorithm")
-	}
-	t.fe = frontend(opt, t.eng)
+	t := &CountTracker{k: opt.K}
+	t.est = t.build(opt, registry.Count).Count
 	return t
 }
 
@@ -131,33 +70,9 @@ func (t *CountTracker) Estimate() float64 {
 // frame, so estimates and Metrics carry on exactly. Requires
 // Options.Persist; incompatible with ConcurrentIngest and FaultPlan.
 func (t *CountTracker) CrashRestartCoordinator() error {
-	var est func() float64
-	var fresh proto.Coordinator
-	switch t.opt.Algorithm {
-	case AlgorithmRandomized:
-		cfg := count.Config{K: t.opt.K, Eps: t.opt.Epsilon, Rescale: t.opt.Rescale}
-		if t.opt.Robust {
-			coord := robust.NewCoordinator(robustConfig(t.opt))
-			fresh, est = coord, coord.Estimate
-		} else if t.opt.Copies > 1 {
-			coord := count.NewMedianCoordinator(cfg, t.opt.Copies)
-			fresh, est = coord, coord.Estimate
-		} else {
-			coord := count.NewCoordinator(cfg)
-			fresh, est = coord, coord.Estimate
-		}
-	case AlgorithmDeterministic:
-		coord := count.NewDetCoordinator(t.opt.K, t.opt.Epsilon)
-		fresh, est = coord, coord.Estimate
-	case AlgorithmSampling:
-		coord := sample.NewCoordinator(sample.Config{K: t.opt.K, Eps: t.opt.Epsilon})
-		fresh, est = coord, coord.Count
-	default:
-		panic("disttrack: unknown Algorithm")
+	q, err := t.restart()
+	if err == nil {
+		t.est = q.Count
 	}
-	if _, err := t.crashRestartCoordinator(func() proto.Coordinator { return fresh }); err != nil {
-		return err
-	}
-	t.est = est
-	return nil
+	return err
 }

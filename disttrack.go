@@ -63,6 +63,7 @@ import (
 	"disttrack/internal/netsim"
 	"disttrack/internal/persist"
 	"disttrack/internal/proto"
+	"disttrack/internal/registry"
 	"disttrack/internal/runtime"
 	"disttrack/internal/runtime/faulty"
 	"disttrack/internal/runtime/tcp"
@@ -210,12 +211,6 @@ type Options struct {
 	// Fanout is the number of sites per aggregator group; required (>= 2,
 	// < K) with TopologyTree and rejected otherwise.
 	Fanout int
-	// Concurrent is the legacy switch for TransportGoroutine, kept for
-	// compatibility. It applies whenever Transport holds its zero value
-	// (TransportSequential is the zero value, so Transport cannot override
-	// Concurrent back to sequential — clear Concurrent instead); any other
-	// Transport wins over it.
-	Concurrent bool
 	// SpaceProbeEvery controls how often space is sampled at quiescent
 	// instants (0 = default 1024 arrivals). One probe reads every site's
 	// working space and the coordinator's running space ledger: O(K) site
@@ -403,16 +398,7 @@ func (p IngestPolicy) String() string {
 	}
 }
 
-// transport resolves the effective transport from the new field and the
-// legacy Concurrent switch.
-func (o Options) transport() Transport {
-	if o.Transport == TransportSequential && o.Concurrent {
-		return TransportGoroutine
-	}
-	return o.Transport
-}
-
-func (o Options) validate() {
+func (o Options) validate(spec registry.Spec) {
 	if o.K <= 0 {
 		panic("disttrack: Options.K must be >= 1")
 	}
@@ -436,28 +422,19 @@ func (o Options) validate() {
 	if o.Topology == TopologyFlat && o.Fanout != 0 {
 		panic("disttrack: Options.Fanout requires Options.Topology == TopologyTree")
 	}
-	if o.Topology == TopologyTree {
-		if o.Fanout < 2 {
-			panic("disttrack: Options.Fanout must be >= 2 with TopologyTree (each aggregator needs a real group)")
-		}
-		if (o.K+o.Fanout-1)/o.Fanout < 2 {
-			panic(fmt.Sprintf("disttrack: TopologyTree depth is inconsistent with K: K=%d, Fanout=%d yields a single aggregator group — K must exceed Fanout (use TopologyFlat)", o.K, o.Fanout))
-		}
-		if o.Robust {
-			panic("disttrack: Options.Robust is incompatible with TopologyTree (the robust release calibrates noise against direct site reports; aggregated virtual arrivals would double-count it)")
-		}
-		if o.Copies > 1 {
-			panic("disttrack: Options.Copies > 1 is incompatible with TopologyTree (median boosting multiplexes one flat fabric; run boosted copies as separate trackers)")
+	tree := o.Topology == TopologyTree
+	if tree {
+		if _, err := proto.NewTreeShape(o.K, o.Fanout, o.Epsilon); err != nil {
+			panic("disttrack: " + err.Error())
 		}
 		if o.FaultPlan != nil {
 			panic("disttrack: Options.FaultPlan is incompatible with TopologyTree (in-process fault injection addresses flat-star links; use cmd/tracksim's distributed chaos mode for tree faults)")
 		}
 	}
-	if o.Robust && o.Algorithm != AlgorithmRandomized {
-		panic("disttrack: Options.Robust requires AlgorithmRandomized (the deterministic and sampling baselines have no site-side sampling randomness for the robust mode to protect)")
-	}
-	if o.Robust && o.Copies > 1 {
-		panic("disttrack: Options.Robust is incompatible with Options.Copies > 1 (the robust tracker answers through its own noised release, not a median of copies)")
+	// Which (problem, algorithm, Robust, Copies, topology) combinations
+	// exist is the registry's knowledge.
+	if err := spec.Check(tree); err != nil {
+		panic("disttrack: " + err.Error())
 	}
 	if o.SpaceProbeEvery < 0 {
 		panic("disttrack: negative Options.SpaceProbeEvery")
@@ -472,7 +449,7 @@ func (o Options) validate() {
 	// authority, faulty.New, when mount installs the plan — still at
 	// tracker-construction time. Only the transport constraint is
 	// facade-level knowledge.
-	if o.FaultPlan != nil && o.transport() == TransportSequential {
+	if o.FaultPlan != nil && o.Transport == TransportSequential {
 		panic("disttrack: Options.FaultPlan requires TransportGoroutine or TransportTCP (the sequential simulator has no message layer to perturb)")
 	}
 	if o.SnapshotEvery < 0 {
@@ -565,70 +542,75 @@ func metricsFrom(m runtime.Metrics) Metrics {
 	}
 }
 
-// mounted is what mount hands back to the core: the runtime plus the
-// optional fault injector and write-ahead logger, and the transport's
-// ledger-seeding hook (a concrete method on each fabric, not part of the
-// runtime.Transport interface — only coordinator crash-restarts need it).
-type mounted struct {
-	eng  *runtime.Runtime
-	inj  *faulty.Injector
-	log  *persist.Logger
-	seed func(runtime.Metrics)
+// fabric is what every flat transport offers beyond runtime.Transport: the
+// durability layer's write-ahead hook, and ledger seeding for coordinator
+// crash-restarts (concrete methods of each fabric, not part of the
+// interface the trackers see).
+type fabric interface {
+	runtime.Transport
+	SetCoordLog(func(from int, m proto.Message))
+	SeedLedger(runtime.Metrics)
 }
 
-// mount places a protocol on the transport selected by the options. Every
-// transport sits behind the same runtime seam (internal/runtime), so the
-// trackers never see which fabric carries their messages. With an
-// Options.FaultPlan, the fault-injection middleware is installed on the
-// concurrent transport's fabric before any message flows; with an
-// Options.Persist, the write-ahead logger is hooked into the transport's
-// coordinator-delivery path before any message flows.
-func mount(o Options, p proto.Protocol) mounted {
-	var t runtime.Transport
-	var fab *runtime.Fabric
-	var setLog func(func(from int, m proto.Message))
-	var seed func(runtime.Metrics)
-	switch o.transport() {
+// start mounts p on the transport the options select. Every transport sits
+// behind the same runtime seam (internal/runtime), so the trackers never see
+// which fabric carries their messages. fab is the concurrent transports'
+// message layer, nil on the sequential simulator.
+func (o Options) start(p proto.Protocol) (t fabric, fab *runtime.Fabric, _ error) {
+	switch o.Transport {
 	case TransportGoroutine:
 		c := netsim.Start(p)
-		if o.SpaceProbeEvery > 0 {
-			c.SpaceProbeEvery = o.SpaceProbeEvery
-		}
 		t, fab = c, c.Fabric
-		setLog, seed = c.Fabric.SetCoordLog, c.Fabric.SeedLedger
 	case TransportTCP:
 		c, err := tcp.StartLoopback(p)
 		if err != nil {
-			panic(fmt.Sprintf("disttrack: mounting TCP transport: %v", err))
-		}
-		if o.SpaceProbeEvery > 0 {
-			c.SpaceProbeEvery = o.SpaceProbeEvery
+			return nil, nil, err
 		}
 		t, fab = c, c.Fabric
-		setLog, seed = c.Fabric.SetCoordLog, c.Fabric.SeedLedger
 	default:
 		h := sim.New(p)
 		if o.SpaceProbeEvery > 0 {
 			h.SpaceProbeEvery = o.SpaceProbeEvery
 		}
-		t = h
-		setLog, seed = h.SetCoordLog, h.SeedLedger
+		return h, nil, nil
 	}
-	m := mounted{seed: seed}
-	if o.Persist != nil {
-		m.log = persist.NewLogger(o.Persist, p.Coord, int64(o.SnapshotEvery), nil)
-		setLog(func(from int, msg proto.Message) {
-			if err := m.log.Log(from, msg); err != nil {
-				panic(fmt.Sprintf("disttrack: write-ahead log: %v", err))
-			}
-		})
+	if o.SpaceProbeEvery > 0 {
+		fab.SpaceProbeEvery = o.SpaceProbeEvery
 	}
-	if o.FaultPlan != nil && fab != nil {
-		m.inj = faulty.New(fab, o.FaultPlan.plan())
-		fab.SetMiddleware(m.inj)
+	return t, fab, nil
+}
+
+// persist hooks the write-ahead logger into a transport's
+// coordinator-delivery path, before any message flows.
+func (c *core) persist(coord proto.Coordinator, setLog func(func(from int, m proto.Message))) {
+	if c.opt.Persist == nil {
+		return
 	}
-	m.eng = runtime.New(t)
-	return m
+	c.log = persist.NewLogger(c.opt.Persist, coord, int64(c.opt.SnapshotEvery), nil)
+	setLog(func(from int, msg proto.Message) {
+		if err := c.log.Log(from, msg); err != nil {
+			panic(fmt.Sprintf("disttrack: write-ahead log: %v", err))
+		}
+	})
+}
+
+// mount places a flat protocol on the selected transport, with the
+// write-ahead logger and, for an Options.FaultPlan, the fault-injection
+// middleware installed on the concurrent transport's fabric before any
+// message flows. It returns the fabric for a crash-restart to seed.
+func (c *core) mount(p proto.Protocol) fabric {
+	t, fab, err := c.opt.start(p)
+	if err != nil {
+		panic(fmt.Sprintf("disttrack: mounting TCP transport: %v", err))
+	}
+	c.prot = p
+	c.persist(p.Coord, t.SetCoordLog)
+	if c.opt.FaultPlan != nil && fab != nil {
+		c.inj = faulty.New(fab, c.opt.FaultPlan.plan())
+		fab.SetMiddleware(c.inj)
+	}
+	c.eng = runtime.New(t)
+	return t
 }
 
 // mountTree places a proto.Tree on per-level fabrics of the selected
@@ -636,47 +618,38 @@ func mount(o Options, p proto.Protocol) mounted {
 // fabric: the root coordinator is a pure function of its delivered
 // (from, msg) sequence whether the senders are real sites or aggregators,
 // so the flat star's WAL/snapshot machinery carries over unchanged.
-func mountTree(o Options, tp proto.Tree) mounted {
-	mk := func(p proto.Protocol) (runtime.Transport, error) {
-		switch o.transport() {
-		case TransportGoroutine:
-			c := netsim.Start(p)
-			if o.SpaceProbeEvery > 0 {
-				c.SpaceProbeEvery = o.SpaceProbeEvery
-			}
-			return c, nil
-		case TransportTCP:
-			c, err := tcp.StartLoopback(p)
-			if err != nil {
-				return nil, err
-			}
-			if o.SpaceProbeEvery > 0 {
-				c.SpaceProbeEvery = o.SpaceProbeEvery
-			}
-			return c, nil
-		default:
-			h := sim.New(p)
-			if o.SpaceProbeEvery > 0 {
-				h.SpaceProbeEvery = o.SpaceProbeEvery
-			}
-			return h, nil
-		}
-	}
-	tr, err := runtime.NewTree(tp, mk)
+func (c *core) mountTree(tp proto.Tree) {
+	tr, err := runtime.NewTree(tp, func(p proto.Protocol) (runtime.Transport, error) {
+		t, _, err := c.opt.start(p)
+		return t, err
+	})
 	if err != nil {
 		panic(fmt.Sprintf("disttrack: mounting tree topology: %v", err))
 	}
-	m := mounted{}
-	if o.Persist != nil {
-		m.log = persist.NewLogger(o.Persist, tp.Root.Coord, int64(o.SnapshotEvery), nil)
-		tr.SetCoordLog(func(from int, msg proto.Message) {
-			if err := m.log.Log(from, msg); err != nil {
-				panic(fmt.Sprintf("disttrack: write-ahead log: %v", err))
-			}
-		})
+	c.persist(tp.Root.Coord, tr.SetCoordLog)
+	c.eng = runtime.New(tr)
+}
+
+// build validates the options and assembles everything behind a tracker:
+// the registry's protocol for (problem, Options.Algorithm) on the selected
+// topology and transport, plus the ingestion frontend. It returns the
+// coordinator's queries; each tracker keeps the ones its problem answers.
+func (c *core) build(o Options, problem registry.Problem) (q registry.Queries) {
+	c.opt = o
+	c.spec = registry.Spec{Problem: problem, Algorithm: registry.Algorithm(o.Algorithm.String()),
+		K: o.K, Eps: o.Epsilon, Rescale: o.Rescale, Robust: o.Robust, Copies: o.Copies, Seed: o.Seed}
+	o.validate(c.spec)
+	if o.Topology == TopologyTree {
+		var tp proto.Tree
+		tp, q = registry.Tree(c.spec, o.Fanout)
+		c.mountTree(tp)
+	} else {
+		var p proto.Protocol
+		p, q = registry.Protocol(c.spec)
+		c.mount(p)
 	}
-	m.eng = runtime.New(tr)
-	return m
+	c.fe = frontend(o, c.eng)
+	return q
 }
 
 // frontend starts the concurrent ingestion frontend over a mounted runtime
@@ -703,66 +676,52 @@ type core struct {
 	fe  *ingest.Frontend
 	inj *faulty.Injector // non-nil iff Options.FaultPlan
 
-	// Durability state (zero without Options.Persist): the write-ahead
-	// logger, the options and protocol retained so a coordinator
-	// crash-restart can remount, the transport's ledger-seeding hook, and
-	// the recovery counters surfaced through Metrics.
+	// Durability state (log and replayed zero without Options.Persist): the
+	// write-ahead logger, the options, registry spec and protocol retained
+	// so a coordinator crash-restart can rebuild and remount, and the
+	// recovery counter surfaced through Metrics.
 	log      *persist.Logger
 	opt      Options
+	spec     registry.Spec
 	prot     proto.Protocol
-	seed     func(runtime.Metrics)
 	replayed int64
 }
 
-// mountCore mounts the protocol and wires the engine half into the core.
-func (c *core) mountCore(o Options, p proto.Protocol) {
-	c.opt, c.prot = o, p
-	m := mount(o, p)
-	c.eng, c.inj, c.log, c.seed = m.eng, m.inj, m.log, m.seed
-}
-
-// mountCoreTree mounts a tree assembly (TopologyTree) into the core.
-func (c *core) mountCoreTree(o Options, tp proto.Tree) {
-	c.opt = o
-	m := mountTree(o, tp)
-	c.eng, c.log = m.eng, m.log
-}
-
-// crashRestartCoordinator simulates a coordinator crash and durable restart
-// without losing the site machines (the in-process recovery drill, used by
-// the chaos tests; cmd/tracksim's serve -resume is the cross-process
-// equivalent): the transport is torn down, a freshly constructed
-// coordinator — built by newCoord exactly as at the start of the run —
-// recovers from Options.Persist (snapshot restore plus write-ahead-log
-// replay), and the protocol remounts over the same sites on a fresh
-// transport of the same kind, carrying the live cost ledger across. The
-// rebuilt coordinator is bit-identical to the crashed one at its last
-// logged frame; arrival accounting is exact because the in-process drill
-// quiesces before crashing (a real crash instead loses only the in-flight
-// window, which replay bounds by SnapshotEvery). Incompatible with
-// ConcurrentIngest and FaultPlan — their goroutines hold the transport.
-func (c *core) crashRestartCoordinator(newCoord func() proto.Coordinator) (persist.Result, error) {
+// restart simulates a coordinator crash and durable restart without losing
+// the site machines (the in-process recovery drill, used by the chaos tests;
+// cmd/tracksim's serve -resume is the cross-process equivalent): the
+// transport is torn down, a freshly constructed coordinator — the
+// registry's, exactly as at the start of the run — recovers from
+// Options.Persist (snapshot restore plus write-ahead-log replay), and the
+// protocol remounts over the same sites on a fresh transport of the same
+// kind, carrying the live cost ledger across. The rebuilt coordinator is
+// bit-identical to the crashed one at its last logged frame; arrival
+// accounting is exact because the in-process drill quiesces before crashing
+// (a real crash instead loses only the in-flight window, which replay bounds
+// by SnapshotEvery). Incompatible with ConcurrentIngest and FaultPlan —
+// their goroutines hold the transport. Returns the new coordinator's
+// queries.
+func (c *core) restart() (registry.Queries, error) {
 	if c.opt.Persist == nil {
-		return persist.Result{}, fmt.Errorf("disttrack: coordinator crash-restart needs Options.Persist")
+		return registry.Queries{}, fmt.Errorf("disttrack: coordinator crash-restart needs Options.Persist")
 	}
 	if c.fe != nil || c.inj != nil {
-		return persist.Result{}, fmt.Errorf("disttrack: coordinator crash-restart is incompatible with ConcurrentIngest and FaultPlan")
+		return registry.Queries{}, fmt.Errorf("disttrack: coordinator crash-restart is incompatible with ConcurrentIngest and FaultPlan")
 	}
 	if c.opt.Topology == TopologyTree {
-		return persist.Result{}, fmt.Errorf("disttrack: in-process coordinator crash-restart supports the flat star only; for trees, restart the root as its own process (cmd/tracksim aggregate/serve -resume)")
+		return registry.Queries{}, fmt.Errorf("disttrack: in-process coordinator crash-restart supports the flat star only; for trees, restart the root as its own process (cmd/tracksim aggregate/serve -resume)")
 	}
 	ledger := c.eng.Metrics() // quiesces first: the drill crashes at a clean instant
 	c.eng.Close()
-	fresh := newCoord()
+	fresh, q := registry.Coordinator(c.spec)
 	res, err := persist.Recover(c.opt.Persist, fresh, nil)
 	if err != nil {
-		return res, err
+		return q, err
 	}
-	c.mountCore(c.opt, proto.Protocol{Coord: fresh, Sites: c.prot.Sites})
+	c.mount(proto.Protocol{Coord: fresh, Sites: c.prot.Sites}).SeedLedger(ledger)
 	c.log.SeedSnapshots(res.Meta.Snapshots)
-	c.seed(ledger)
 	c.replayed = res.ReplayedFrames
-	return res, nil
+	return q, nil
 }
 
 // FaultStats returns the fault events injected so far by Options.FaultPlan

@@ -185,7 +185,7 @@ func TestConcurrentRuntimeMatchesGuarantees(t *testing.T) {
 	const k = 8
 	const eps = 0.15
 	const n = 5000
-	tr := NewCountTracker(Options{K: k, Epsilon: eps, Seed: 7, Concurrent: true})
+	tr := NewCountTracker(Options{K: k, Epsilon: eps, Seed: 7, Transport: TransportGoroutine})
 	defer tr.Close()
 	bad := 0
 	for i := 0; i < n; i++ {

@@ -4,13 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"disttrack/internal/runtime"
 	"disttrack/internal/sim"
 	"disttrack/internal/stats"
 	"disttrack/internal/workload"
 )
 
 func runRandomized(t *testing.T, cfg Config, seed uint64, events []workload.Event,
-	check func(arrived int64, est float64)) sim.Metrics {
+	check func(arrived int64, est float64)) runtime.Metrics {
 	t.Helper()
 	p, coord := NewProtocol(cfg, seed)
 	h := sim.New(p)

@@ -65,48 +65,23 @@ func (a *DetAgg) DrainFeed(feed func(item int64, value float64, count int64)) {
 // SeedFed primes the feed ledger after a coordinator recovery.
 func (a *DetAgg) SeedFed() { a.fed = a.sum }
 
-// treeShape returns the group count for k leaves at the given fanout.
-func treeShape(k, fanout int) int {
-	if fanout < 2 {
-		panic("count: tree fanout must be >= 2")
-	}
-	groups := (k + fanout - 1) / fanout
-	if groups < 2 {
-		panic("count: tree needs at least two groups (k must exceed fanout)")
-	}
-	return groups
-}
-
 // NewTreeProtocol assembles the randomized count tracker as a two-level
-// tree: k leaf sites sharded fanout-per-aggregator, each level running at
-// the split error budget proto.SplitEps(eps, 2). Returns the assembly and
-// the root coordinator (the query surface).
+// tree (proto.AssembleTree): k leaf sites sharded fanout-per-aggregator, each
+// level running at the split error budget, site RNGs split from seed.
+// Returns the assembly and the root coordinator (the query surface).
 func NewTreeProtocol(cfg Config, fanout int, seed uint64) (proto.Tree, *Coordinator) {
 	cfg.validate()
-	groups := treeShape(cfg.K, fanout)
-	eps := proto.SplitEps(cfg.Eps, 2)
 	root := stats.New(seed)
-	tr := proto.Tree{Fanout: fanout}
-	for g := 0; g < groups; g++ {
-		size := fanout
-		if rem := cfg.K - g*fanout; rem < size {
-			size = rem
-		}
-		gcfg := Config{K: size, Eps: eps, Rescale: cfg.Rescale, DisableAdjustment: cfg.DisableAdjustment}
-		sites := make([]proto.Site, size)
+	return proto.AssembleTree(cfg.K, fanout, cfg.Eps, func(k int, eps float64) (proto.Protocol, *Coordinator) {
+		lcfg := cfg
+		lcfg.K, lcfg.Eps = k, eps
+		sites := make([]proto.Site, k)
 		for i := range sites {
-			sites[i] = NewSite(gcfg, root.Split())
+			sites[i] = NewSite(lcfg, root.Split())
 		}
-		tr.Groups = append(tr.Groups, proto.Protocol{Coord: NewAgg(NewCoordinator(gcfg)), Sites: sites})
-	}
-	rcfg := Config{K: groups, Eps: eps, Rescale: cfg.Rescale, DisableAdjustment: cfg.DisableAdjustment}
-	rootCoord := NewCoordinator(rcfg)
-	rsites := make([]proto.Site, groups)
-	for i := range rsites {
-		rsites[i] = NewSite(rcfg, root.Split())
-	}
-	tr.Root = proto.Protocol{Coord: rootCoord, Sites: rsites}
-	return tr, rootCoord
+		coord := NewCoordinator(lcfg)
+		return proto.Protocol{Coord: coord, Sites: sites}, coord
+	}, func(c *Coordinator) proto.Aggregator { return NewAgg(c) })
 }
 
 // NewDetTreeProtocol assembles the deterministic count tracker as a
@@ -115,25 +90,6 @@ func NewTreeProtocol(cfg Config, fanout int, seed uint64) (proto.Tree, *Coordina
 // frequency/rank deterministic baselines, whose summaries have no merge
 // path).
 func NewDetTreeProtocol(k int, eps float64, fanout int) (proto.Tree, *DetCoordinator) {
-	groups := treeShape(k, fanout)
-	leps := proto.SplitEps(eps, 2)
-	tr := proto.Tree{Fanout: fanout}
-	for g := 0; g < groups; g++ {
-		size := fanout
-		if rem := k - g*fanout; rem < size {
-			size = rem
-		}
-		sites := make([]proto.Site, size)
-		for i := range sites {
-			sites[i] = NewDetSite(leps)
-		}
-		tr.Groups = append(tr.Groups, proto.Protocol{Coord: NewDetAgg(NewDetCoordinator(size, leps)), Sites: sites})
-	}
-	rootCoord := NewDetCoordinator(groups, leps)
-	rsites := make([]proto.Site, groups)
-	for i := range rsites {
-		rsites[i] = NewDetSite(leps)
-	}
-	tr.Root = proto.Protocol{Coord: rootCoord, Sites: rsites}
-	return tr, rootCoord
+	return proto.AssembleTree(k, fanout, eps, NewDetProtocol,
+		func(c *DetCoordinator) proto.Aggregator { return NewDetAgg(c) })
 }

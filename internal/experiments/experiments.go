@@ -14,29 +14,27 @@ import (
 	"disttrack/internal/count"
 	"disttrack/internal/freq"
 	"disttrack/internal/lowerbound"
-	"disttrack/internal/proto"
-	"disttrack/internal/rank"
-	"disttrack/internal/sample"
+	"disttrack/internal/registry"
 	"disttrack/internal/sim"
 	"disttrack/internal/stats"
 	"disttrack/internal/workload"
 )
 
 // Problem identifies a tracking problem.
-type Problem string
+type Problem = registry.Problem
 
 // Alg identifies an algorithm family.
-type Alg string
+type Alg = registry.Algorithm
 
 // Enumerations for RunRow.
 const (
-	Count Problem = "count"
-	Freq  Problem = "freq"
-	Rank  Problem = "rank"
+	Count = registry.Count
+	Freq  = registry.Freq
+	Rank  = registry.Rank
 
-	Randomized    Alg = "randomized"
-	Deterministic Alg = "deterministic"
-	Sampling      Alg = "sampling"
+	Randomized    = registry.Randomized
+	Deterministic = registry.Deterministic
+	Sampling      = registry.Sampling
 )
 
 // RowConfig parameterizes one protocol run.
@@ -91,23 +89,22 @@ func runRow(rc RowConfig, block int) RowResult {
 	}
 	res := RowResult{RowConfig: rc}
 
-	var p proto.Protocol
-	var check func(arrived int64) float64 // returns |err| allowance-normalized
+	// Protocol panics on an unknown problem or algorithm.
+	p, q := registry.Protocol(registry.Spec{Problem: rc.Problem, Algorithm: rc.Alg,
+		K: rc.K, Eps: rc.Eps, Rescale: rc.Rescale, Seed: rc.Seed})
 
 	// Two independent copies of the input generators (same seed): one
 	// feeds the harness, one replays ground truth inside the checks.
 	feedItem, feedValue := rowInputs(rc, block)
+	checkItem, checkValue := rowInputs(rc, block)
+	var check func(arrived int64) float64 // returns |err| allowance-normalized
 	switch rc.Problem {
 	case Count:
-		p, check = buildCount(rc)
+		check = checkCount(rc, q.Count)
 	case Freq:
-		checkItem, _ := rowInputs(rc, block)
-		p, check = buildFreq(rc, checkItem)
+		check = checkFreq(rc, q.Freq, checkItem)
 	case Rank:
-		_, checkValue := rowInputs(rc, block)
-		p, check = buildRank(rc, checkValue)
-	default:
-		panic("experiments: unknown problem " + string(rc.Problem))
+		check = checkRank(rc, q.Rank, checkValue)
 	}
 
 	h := sim.New(p)
@@ -206,89 +203,39 @@ func perBlock(f workload.ItemFunc, block int) workload.ItemFunc {
 	}
 }
 
-func buildCount(rc RowConfig) (proto.Protocol, func(int64) float64) {
-	switch rc.Alg {
-	case Randomized:
-		p, coord := count.NewProtocol(count.Config{K: rc.K, Eps: rc.Eps, Rescale: rc.Rescale}, rc.Seed)
-		return p, func(n int64) float64 {
-			return stats.RelErr(coord.Estimate(), float64(n)) / rc.Eps
-		}
-	case Deterministic:
-		p, coord := count.NewDetProtocol(rc.K, rc.Eps)
-		return p, func(n int64) float64 {
-			return stats.RelErr(coord.Estimate(), float64(n)) / rc.Eps
-		}
-	case Sampling:
-		p, coord := sample.NewProtocol(sample.Config{K: rc.K, Eps: rc.Eps}, rc.Seed)
-		return p, func(n int64) float64 {
-			return stats.RelErr(coord.Count(), float64(n)) / rc.Eps
-		}
+func checkCount(rc RowConfig, estimate func() float64) func(int64) float64 {
+	return func(n int64) float64 {
+		return stats.RelErr(estimate(), float64(n)) / rc.Eps
 	}
-	panic("experiments: unknown alg " + string(rc.Alg))
 }
 
-func buildFreq(rc RowConfig, items workload.ItemFunc) (proto.Protocol, func(int64) float64) {
-	// Track the exact frequency of the hottest item (id 0 under Zipf).
+// checkFreq tracks the exact frequency of the hottest item (id 0 under Zipf).
+func checkFreq(rc RowConfig, estimate func(int64) float64, items workload.ItemFunc) func(int64) float64 {
 	var truth int64
 	idx := 0
-	advance := func(n int64) int64 {
+	return func(n int64) float64 {
 		for ; int64(idx) < n; idx++ {
 			if items(idx) == 0 {
 				truth++
 			}
 		}
-		return truth
+		return math.Abs(estimate(0)-float64(truth)) / (rc.Eps * float64(n))
 	}
-	switch rc.Alg {
-	case Randomized:
-		p, coord := freq.NewProtocol(freq.Config{K: rc.K, Eps: rc.Eps, Rescale: rc.Rescale}, rc.Seed)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Estimate(0)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Deterministic:
-		p, coord := freq.NewDetProtocol(rc.K, rc.Eps)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Estimate(0)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Sampling:
-		p, coord := sample.NewProtocol(sample.Config{K: rc.K, Eps: rc.Eps}, rc.Seed)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Freq(0)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	}
-	panic("experiments: unknown alg " + string(rc.Alg))
 }
 
-func buildRank(rc RowConfig, values workload.ValueFunc) (proto.Protocol, func(int64) float64) {
+// checkRank tracks the exact rank of the stream's median value.
+func checkRank(rc RowConfig, rankOf func(float64) float64, values workload.ValueFunc) func(int64) float64 {
 	q := float64(rc.N) / 2
 	var below int64
 	idx := 0
-	advance := func(n int64) int64 {
+	return func(n int64) float64 {
 		for ; int64(idx) < n; idx++ {
 			if values(idx) < q {
 				below++
 			}
 		}
-		return below
+		return math.Abs(rankOf(q)-float64(below)) / (rc.Eps * float64(n))
 	}
-	switch rc.Alg {
-	case Randomized:
-		p, coord := rank.NewProtocol(rank.Config{K: rc.K, Eps: rc.Eps, Rescale: rc.Rescale}, rc.Seed)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Rank(q)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Deterministic:
-		p, coord := rank.NewDetProtocol(rc.K, rc.Eps)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Rank(q)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	case Sampling:
-		p, coord := sample.NewProtocol(sample.Config{K: rc.K, Eps: rc.Eps}, rc.Seed)
-		return p, func(n int64) float64 {
-			return math.Abs(coord.Rank(q)-float64(advance(n))) / (rc.Eps * float64(n))
-		}
-	}
-	panic("experiments: unknown alg " + string(rc.Alg))
 }
 
 // AnalyticWords returns the paper's asymptotic communication formula

@@ -9,10 +9,9 @@ import (
 	"testing"
 
 	"disttrack/internal/count"
-	"disttrack/internal/freq"
 	"disttrack/internal/netsim"
 	"disttrack/internal/proto"
-	"disttrack/internal/rank"
+	"disttrack/internal/registry"
 	"disttrack/internal/sample"
 	"disttrack/internal/sim"
 	"disttrack/internal/stats"
@@ -25,43 +24,39 @@ const (
 	n   = 8000
 )
 
-// protocols returns one instance of every protocol under test plus a probe
-// into its count-style estimate (for freq/rank we query a fixed target so
-// all protocols can share oracle machinery).
+// instance is one protocol under test plus a probe into its estimate at a
+// fixed target (for freq/rank we query a fixed target so all protocols can
+// share oracle machinery).
 type instance struct {
 	name  string
+	fam   registry.Spec
 	p     proto.Protocol
 	query func() float64 // current estimate for the instance's fixed target
 }
 
-// buildAll constructs fresh protocol instances. The rank target is the
-// median of the value permutation; the freq target is item 0.
-func buildAll(seed uint64, values workload.ValueFunc) []instance {
+// buildAll constructs a fresh instance of every family in the registry, so
+// a new family inherits these suites. The rank target is the median of the
+// value permutation; the freq target is item 0.
+func buildAll(seed uint64) []instance {
 	var out []instance
-
-	cp, cc := count.NewProtocol(count.Config{K: k, Eps: eps}, seed)
-	out = append(out, instance{"count/randomized", cp, cc.Estimate})
-
-	dp, dc := count.NewDetProtocol(k, eps)
-	out = append(out, instance{"count/deterministic", dp, dc.Estimate})
-
-	fp, fc := freq.NewProtocol(freq.Config{K: k, Eps: eps}, seed)
-	out = append(out, instance{"freq/randomized", fp, func() float64 { return fc.Estimate(0) }})
-
-	fdp, fdc := freq.NewDetProtocol(k, eps)
-	out = append(out, instance{"freq/deterministic", fdp, func() float64 { return fdc.Estimate(0) }})
-
-	rq := float64(n) / 2
-	rp, rc := rank.NewProtocol(rank.Config{K: k, Eps: eps}, seed)
-	out = append(out, instance{"rank/randomized", rp, func() float64 { return rc.Rank(rq) }})
-
-	rdp, rdc := rank.NewDetProtocol(k, eps)
-	out = append(out, instance{"rank/deterministic", rdp, func() float64 { return rdc.Rank(rq) }})
-
-	sp, sc := sample.NewProtocol(sample.Config{K: k, Eps: eps}, seed)
-	out = append(out, instance{"sampling/count", sp, sc.Count})
-
-	_ = values
+	for _, f := range registry.Families() {
+		spec := f
+		spec.K, spec.Eps, spec.Seed = k, eps, seed
+		p, q := registry.Protocol(spec)
+		inst := instance{name: string(f.Problem) + "/" + string(f.Algorithm), fam: f, p: p}
+		if f.Robust {
+			inst.name += "/robust"
+		}
+		switch f.Problem {
+		case registry.Count:
+			inst.query = q.Count
+		case registry.Freq:
+			inst.query = func() float64 { return q.Freq(0) }
+		case registry.Rank:
+			inst.query = func() float64 { return q.Rank(float64(n) / 2) }
+		}
+		out = append(out, inst)
+	}
 	return out
 }
 
@@ -83,11 +78,11 @@ func (o *oracles) observe(item int64, value float64) {
 	}
 }
 
-func (o *oracles) truth(name string) float64 {
-	switch name {
-	case "count/randomized", "count/deterministic", "sampling/count":
+func (o *oracles) truth(p registry.Problem) float64 {
+	switch p {
+	case registry.Count:
 		return float64(o.n)
-	case "freq/randomized", "freq/deterministic":
+	case registry.Freq:
 		return float64(o.freq0)
 	default:
 		return float64(o.below)
@@ -112,7 +107,7 @@ func TestAllProtocolsAllWorkloadsSequential(t *testing.T) {
 	items := workload.ZipfItems(50, 1.0, rng.Split())
 	values := workload.PermValues(n, rng.Split())
 	for plName, pl := range placements(rng) {
-		insts := buildAll(7, values)
+		insts := buildAll(7)
 		harnesses := make([]*sim.Harness, len(insts))
 		for i, inst := range insts {
 			harnesses[i] = sim.New(inst.p)
@@ -130,7 +125,7 @@ func TestAllProtocolsAllWorkloadsSequential(t *testing.T) {
 			if i%211 == 0 && i > 0 {
 				checks++
 				for ii, inst := range insts {
-					if math.Abs(inst.query()-o.truth(inst.name)) > allowance(o) {
+					if math.Abs(inst.query()-o.truth(inst.fam.Problem)) > allowance(o) {
 						bad[ii]++
 					}
 				}
@@ -140,8 +135,7 @@ func TestAllProtocolsAllWorkloadsSequential(t *testing.T) {
 			// Deterministic instances must never fail; randomized ones get
 			// a 15% budget at the 3ε allowance.
 			budget := 0
-			if inst.name != "count/deterministic" && inst.name != "freq/deterministic" &&
-				inst.name != "rank/deterministic" {
+			if inst.fam.Algorithm != registry.Deterministic {
 				budget = checks * 15 / 100
 			}
 			if bad[ii] > budget {
@@ -168,8 +162,8 @@ func TestConcurrentRuntimeAgreesWithSequential(t *testing.T) {
 	values := workload.PermValues(n, rng.Split())
 	items := workload.ZipfItems(50, 1.0, rng.Split())
 
-	seqInsts := buildAll(13, values)
-	conInsts := buildAll(13, values)
+	seqInsts := buildAll(13)
+	conInsts := buildAll(13)
 
 	seqH := make([]*sim.Harness, len(seqInsts))
 	for i, inst := range seqInsts {
@@ -251,7 +245,7 @@ func TestSpaceInvariantsUnderHotSpot(t *testing.T) {
 	// rollover simultaneously).
 	rng := stats.New(44444)
 	values := workload.PermValues(n, rng.Split())
-	insts := buildAll(17, values)
+	insts := buildAll(17)
 	budgets := map[string]int{
 		"count/randomized":    12,
 		"count/deterministic": 8,
@@ -259,7 +253,12 @@ func TestSpaceInvariantsUnderHotSpot(t *testing.T) {
 		"freq/deterministic":  400,  // O(1/ε)
 		"rank/randomized":     1200, // O(1/(ε√k)·polylog)
 		"rank/deterministic":  2500, // O(1/ε·log εn)
-		"sampling/count":      4,
+		// The robust wrapper adds one word to the count site; the sampler's
+		// site is the same O(1) machine whichever problem it answers.
+		"count/randomized/robust": 12,
+		"count/sampling":          4,
+		"freq/sampling":           4,
+		"rank/sampling":           4,
 	}
 	for _, inst := range insts {
 		h := sim.New(inst.p)
@@ -267,6 +266,9 @@ func TestSpaceInvariantsUnderHotSpot(t *testing.T) {
 		items := workload.ZipfItems(50, 1.0, stats.New(55))
 		for i := 0; i < n; i++ {
 			h.Arrive(0, items(i), values(i))
+		}
+		if _, ok := budgets[inst.name]; !ok {
+			t.Errorf("%s: no hot-spot space budget; a new family must state one", inst.name)
 		}
 		if sp := h.Metrics().MaxSiteSpace; sp > budgets[inst.name] {
 			t.Errorf("%s: hot-spot site space %d exceeds budget %d",

@@ -21,9 +21,6 @@ import (
 	"disttrack/internal/runtime"
 )
 
-// Metrics is the shared cost ledger of the runtime seam.
-type Metrics = runtime.Metrics
-
 // Cluster hosts one protocol concurrently. Create with Start, feed with
 // Arrive, synchronize with Quiesce, and Stop when done. The embedded
 // Fabric provides Arrive/ArriveBatch/Quiesce/Probe/SetTap/Metrics.

@@ -9,7 +9,11 @@
 // every message cascade to quiescence before the next element arrives.
 package proto
 
-import "math"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
 
 // Message is one unit of communication. Words reports its size in the
 // paper's word-based accounting: any integer less than N, an element, a
@@ -208,6 +212,58 @@ func (t Tree) Leaves() int {
 // GroupOf maps a global leaf index to its (group, within-group site) pair.
 func (t Tree) GroupOf(leaf int) (group, idx int) {
 	return leaf / t.Fanout, leaf % t.Fanout
+}
+
+// TreeShape is the layout of a two-level tree over K leaves: Groups =
+// ⌈K/Fanout⌉ aggregator groups of Fanout contiguous leaves (the last may be
+// shorter), every level running at LevelEps = SplitEps(ε, 2). The Tree
+// assemblies, the facade's option validation, and cmd/tracksim's
+// multi-process deployment all take their shard arithmetic from here.
+type TreeShape struct {
+	K, Fanout, Groups int
+	LevelEps          float64
+}
+
+// NewTreeShape lays k leaves out under aggregators of the given fanout. The
+// errors are worded in the facade's vocabulary (Options.Fanout is
+// tracksim's -fanout), because they are its rejection messages too.
+func NewTreeShape(k, fanout int, eps float64) (TreeShape, error) {
+	if fanout < 2 {
+		return TreeShape{}, errors.New("Options.Fanout must be >= 2 with TopologyTree (each aggregator needs a real group)")
+	}
+	groups := (k + fanout - 1) / fanout
+	if groups < 2 {
+		return TreeShape{}, fmt.Errorf("TopologyTree depth is inconsistent with K: K=%d, Fanout=%d yields a single aggregator group — K must exceed Fanout (use TopologyFlat)", k, fanout)
+	}
+	return TreeShape{K: k, Fanout: fanout, Groups: groups, LevelEps: SplitEps(eps, 2)}, nil
+}
+
+// Size returns the number of leaves in group g.
+func (s TreeShape) Size(g int) int {
+	return min(s.Fanout, s.K-g*s.Fanout)
+}
+
+// AssembleTree builds a family's two-level tree over k leaves. level(k, eps)
+// assembles one flat protocol of k sites at the per-level ε and is called
+// once per group, in group order, then once for the root — the order in
+// which the assemblies draw their site RNGs; agg wraps a group's coordinator
+// as its aggregator. Returns the tree and the root coordinator (the query
+// surface). A shape NewTreeShape rejects is a caller bug and panics.
+func AssembleTree[C Coordinator](k, fanout int, eps float64,
+	level func(k int, eps float64) (Protocol, C), agg func(C) Aggregator) (Tree, C) {
+	s, err := NewTreeShape(k, fanout, eps)
+	if err != nil {
+		panic("proto: " + err.Error())
+	}
+	tr := Tree{Fanout: fanout}
+	for g := 0; g < s.Groups; g++ {
+		p, c := level(s.Size(g), s.LevelEps)
+		p.Coord = agg(c)
+		tr.Groups = append(tr.Groups, p)
+	}
+	root, c := level(s.Groups, s.LevelEps)
+	tr.Root = root
+	return tr, c
 }
 
 // SplitEps divides a tracker's error budget ε across the levels of a tree

@@ -88,38 +88,19 @@ func (a *Agg) SeedFed() {
 
 // NewTreeProtocol assembles the randomized rank tracker as a two-level
 // tree (see count.NewTreeProtocol for the shape): each level runs at the
-// split budget proto.SplitEps(eps, 2), and the root coordinator answers
-// Rank/Quantile queries for the whole tree.
+// split budget, and the root coordinator answers Rank/Quantile queries for
+// the whole tree.
 func NewTreeProtocol(cfg Config, fanout int, seed uint64) (proto.Tree, *Coordinator) {
 	cfg.validate()
-	if fanout < 2 {
-		panic("rank: tree fanout must be >= 2")
-	}
-	groups := (cfg.K + fanout - 1) / fanout
-	if groups < 2 {
-		panic("rank: tree needs at least two groups (k must exceed fanout)")
-	}
-	eps := proto.SplitEps(cfg.Eps, 2)
 	root := stats.New(seed)
-	tr := proto.Tree{Fanout: fanout}
-	for g := 0; g < groups; g++ {
-		size := fanout
-		if rem := cfg.K - g*fanout; rem < size {
-			size = rem
-		}
-		gcfg := Config{K: size, Eps: eps, Rescale: cfg.Rescale}
-		sites := make([]proto.Site, size)
+	return proto.AssembleTree(cfg.K, fanout, cfg.Eps, func(k int, eps float64) (proto.Protocol, *Coordinator) {
+		lcfg := cfg
+		lcfg.K, lcfg.Eps = k, eps
+		sites := make([]proto.Site, k)
 		for i := range sites {
-			sites[i] = NewSite(gcfg, root.Split())
+			sites[i] = NewSite(lcfg, root.Split())
 		}
-		tr.Groups = append(tr.Groups, proto.Protocol{Coord: NewAgg(NewCoordinator(gcfg)), Sites: sites})
-	}
-	rcfg := Config{K: groups, Eps: eps, Rescale: cfg.Rescale}
-	rootCoord := NewCoordinator(rcfg)
-	rsites := make([]proto.Site, groups)
-	for i := range rsites {
-		rsites[i] = NewSite(rcfg, root.Split())
-	}
-	tr.Root = proto.Protocol{Coord: rootCoord, Sites: rsites}
-	return tr, rootCoord
+		coord := NewCoordinator(lcfg)
+		return proto.Protocol{Coord: coord, Sites: sites}, coord
+	}, func(c *Coordinator) proto.Aggregator { return NewAgg(c) })
 }

@@ -28,8 +28,8 @@ package runtime
 
 import "disttrack/internal/proto"
 
-// Metrics is the cost ledger of one run, in the paper's units. It is shared
-// by every transport (internal/sim and internal/netsim alias it).
+// Metrics is the cost ledger of one run, in the paper's units, shared by
+// every transport.
 type Metrics struct {
 	MessagesUp   int64 // site -> coordinator messages
 	MessagesDown int64 // coordinator -> site messages (a broadcast counts k)

@@ -60,38 +60,21 @@ func (a *Agg) SeedFed() { a.pending = a.pending[:0] }
 
 // NewTreeProtocol assembles the sampling tracker as a two-level tree. The
 // sample baseline's error is driven by the retained-sample size, not a
-// per-level ε, so both levels run at the full ε budget and the root's
-// sample (of the aggregators' unbiased virtual streams) keeps the flat
-// star's guarantee up to the feed-quantization noise of the shard levels.
+// per-level ε, so both levels run at the full ε budget (the split budget
+// proto.AssembleTree offers is ignored) and the root's sample (of the
+// aggregators' unbiased virtual streams) keeps the flat star's guarantee up
+// to the feed-quantization noise of the shard levels.
 func NewTreeProtocol(cfg Config, fanout int, seed uint64) (proto.Tree, *Coordinator) {
 	cfg.validate()
-	if fanout < 2 {
-		panic("sample: tree fanout must be >= 2")
-	}
-	groups := (cfg.K + fanout - 1) / fanout
-	if groups < 2 {
-		panic("sample: tree needs at least two groups (k must exceed fanout)")
-	}
 	root := stats.New(seed)
-	tr := proto.Tree{Fanout: fanout}
-	for g := 0; g < groups; g++ {
-		size := fanout
-		if rem := cfg.K - g*fanout; rem < size {
-			size = rem
-		}
-		gcfg := Config{K: size, Eps: cfg.Eps, SampleSize: cfg.SampleSize}
-		sites := make([]proto.Site, size)
+	return proto.AssembleTree(cfg.K, fanout, cfg.Eps, func(k int, _ float64) (proto.Protocol, *Coordinator) {
+		lcfg := cfg
+		lcfg.K = k
+		sites := make([]proto.Site, k)
 		for i := range sites {
 			sites[i] = NewSite(root.Split())
 		}
-		tr.Groups = append(tr.Groups, proto.Protocol{Coord: NewAgg(NewCoordinator(gcfg)), Sites: sites})
-	}
-	rcfg := Config{K: groups, Eps: cfg.Eps, SampleSize: cfg.SampleSize}
-	rootCoord := NewCoordinator(rcfg)
-	rsites := make([]proto.Site, groups)
-	for i := range rsites {
-		rsites[i] = NewSite(root.Split())
-	}
-	tr.Root = proto.Protocol{Coord: rootCoord, Sites: rsites}
-	return tr, rootCoord
+		coord := NewCoordinator(lcfg)
+		return proto.Protocol{Coord: coord, Sites: sites}, coord
+	}, func(c *Coordinator) proto.Aggregator { return NewAgg(c) })
 }

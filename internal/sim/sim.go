@@ -22,10 +22,6 @@ import (
 	"disttrack/internal/workload"
 )
 
-// Metrics is the cost ledger of one run, in the paper's units, shared with
-// the other transports through the runtime seam.
-type Metrics = runtime.Metrics
-
 // Harness hosts one protocol instance.
 type Harness struct {
 	p proto.Protocol
@@ -33,7 +29,7 @@ type Harness struct {
 	// disables periodic probing (a final probe still happens via Probe).
 	SpaceProbeEvery int
 
-	metrics Metrics
+	metrics runtime.Metrics
 
 	// The message queue is a head-indexed FIFO: popping advances head
 	// instead of re-slicing (which would strand the backing array's prefix
@@ -103,7 +99,7 @@ func New(p proto.Protocol) *Harness {
 func (h *Harness) K() int { return h.p.K() }
 
 // Metrics returns a copy of the current cost ledger.
-func (h *Harness) Metrics() Metrics { return h.metrics }
+func (h *Harness) Metrics() runtime.Metrics { return h.metrics }
 
 // Quiesce implements runtime.Transport; the sequential transport is
 // quiescent whenever control returns to the caller.
@@ -124,7 +120,7 @@ func (h *Harness) SetCoordLog(fn func(from int, m proto.Message)) { h.coordLog =
 // SeedLedger pre-loads the cost ledger, so a harness mounted over a
 // recovered coordinator reports Metrics spanning the whole logical run.
 // Call before the first arrival.
-func (h *Harness) SeedLedger(m Metrics) {
+func (h *Harness) SeedLedger(m runtime.Metrics) {
 	live := h.metrics.LiveSites
 	h.metrics = m
 	h.metrics.LiveSites = live

@@ -1,12 +1,6 @@
 package disttrack
 
-import (
-	"disttrack/internal/boost"
-	"disttrack/internal/proto"
-	"disttrack/internal/rank"
-	"disttrack/internal/sample"
-	"disttrack/internal/stats"
-)
+import "disttrack/internal/registry"
 
 // RankTracker continuously tracks ranks over a totally ordered domain with
 // absolute error ±ε·n(t), which also answers quantile queries — the paper's
@@ -17,8 +11,7 @@ import (
 // from any number of goroutines. The embedded core provides Flush,
 // Metrics, and Close.
 type RankTracker struct {
-	opt Options
-	k   int // == opt.K, hot-path copy on the same cache line as eng/fe
+	k int // == Options.K, hot-path copy on the same cache line as eng/fe
 	core
 	rankFn   func(x float64) float64
 	quantile func(q, lo, hi float64) float64
@@ -26,69 +19,9 @@ type RankTracker struct {
 
 // NewRankTracker builds a rank tracker. It panics on invalid options.
 func NewRankTracker(opt Options) *RankTracker {
-	opt.validate()
-	if opt.Robust {
-		panic("disttrack: Options.Robust is only supported by CountTracker (robust rank tracking is not implemented)")
-	}
-	t := &RankTracker{opt: opt, k: opt.K}
-	switch opt.Algorithm {
-	case AlgorithmRandomized:
-		cfg := rank.Config{K: opt.K, Eps: opt.Epsilon, Rescale: opt.Rescale}
-		if opt.Copies > 1 {
-			root := stats.New(opt.Seed)
-			ps := make([]proto.Protocol, opt.Copies)
-			coords := make([]*rank.Coordinator, opt.Copies)
-			for i := range ps {
-				ps[i], coords[i] = rank.NewProtocol(cfg, root.Uint64())
-			}
-			t.mountCore(opt, boost.Wrap(ps))
-			t.rankFn = func(x float64) float64 {
-				ests := make([]float64, len(coords))
-				for i, c := range coords {
-					ests[i] = c.Rank(x)
-				}
-				return stats.Median(ests)
-			}
-			t.quantile = rank.Bisect(t.rankFn)
-			t.fe = frontend(opt, t.eng)
-			return t
-		}
-		if opt.Topology == TopologyTree {
-			tp, coord := rank.NewTreeProtocol(cfg, opt.Fanout, opt.Seed)
-			t.mountCoreTree(opt, tp)
-			t.rankFn = coord.Rank
-			t.quantile = coord.Quantile
-		} else {
-			p, coord := rank.NewProtocol(cfg, opt.Seed)
-			t.mountCore(opt, p)
-			t.rankFn = coord.Rank
-			t.quantile = coord.Quantile
-		}
-	case AlgorithmDeterministic:
-		if opt.Topology == TopologyTree {
-			panic("disttrack: TopologyTree is incompatible with AlgorithmDeterministic rank tracking (its Greenwald-Khanna snapshots have no merge path for re-aggregation); use AlgorithmRandomized, AlgorithmSampling, or TopologyFlat")
-		}
-		p, coord := rank.NewDetProtocol(opt.K, opt.Epsilon)
-		t.mountCore(opt, p)
-		t.rankFn = coord.Rank
-		t.quantile = coord.Quantile
-	case AlgorithmSampling:
-		scfg := sample.Config{K: opt.K, Eps: opt.Epsilon}
-		if opt.Topology == TopologyTree {
-			tp, coord := sample.NewTreeProtocol(scfg, opt.Fanout, opt.Seed)
-			t.mountCoreTree(opt, tp)
-			t.rankFn = coord.Rank
-			t.quantile = rank.Bisect(coord.Rank)
-		} else {
-			p, coord := sample.NewProtocol(scfg, opt.Seed)
-			t.mountCore(opt, p)
-			t.rankFn = coord.Rank
-			t.quantile = rank.Bisect(coord.Rank)
-		}
-	default:
-		panic("disttrack: unknown Algorithm")
-	}
-	t.fe = frontend(opt, t.eng)
+	t := &RankTracker{k: opt.K}
+	q := t.build(opt, registry.Rank)
+	t.rankFn, t.quantile = q.Rank, q.Quantile
 	return t
 }
 
@@ -153,44 +86,9 @@ func (t *RankTracker) Quantile(q, lo, hi float64) float64 {
 // restart; see CountTracker.CrashRestartCoordinator. Requires
 // Options.Persist; incompatible with ConcurrentIngest and FaultPlan.
 func (t *RankTracker) CrashRestartCoordinator() error {
-	var rankFn func(x float64) float64
-	var quantile func(q, lo, hi float64) float64
-	var fresh proto.Coordinator
-	switch t.opt.Algorithm {
-	case AlgorithmRandomized:
-		cfg := rank.Config{K: t.opt.K, Eps: t.opt.Epsilon, Rescale: t.opt.Rescale}
-		if t.opt.Copies > 1 {
-			coords := make([]*rank.Coordinator, t.opt.Copies)
-			inner := make([]proto.Coordinator, t.opt.Copies)
-			for i := range coords {
-				coords[i] = rank.NewCoordinator(cfg)
-				inner[i] = coords[i]
-			}
-			fresh = boost.WrapCoordinators(inner)
-			rankFn = func(x float64) float64 {
-				ests := make([]float64, len(coords))
-				for i, c := range coords {
-					ests[i] = c.Rank(x)
-				}
-				return stats.Median(ests)
-			}
-			quantile = rank.Bisect(rankFn)
-		} else {
-			coord := rank.NewCoordinator(cfg)
-			fresh, rankFn, quantile = coord, coord.Rank, coord.Quantile
-		}
-	case AlgorithmDeterministic:
-		coord := rank.NewDetCoordinator(t.opt.K)
-		fresh, rankFn, quantile = coord, coord.Rank, coord.Quantile
-	case AlgorithmSampling:
-		coord := sample.NewCoordinator(sample.Config{K: t.opt.K, Eps: t.opt.Epsilon})
-		fresh, rankFn, quantile = coord, coord.Rank, rank.Bisect(coord.Rank)
-	default:
-		panic("disttrack: unknown Algorithm")
+	q, err := t.restart()
+	if err == nil {
+		t.rankFn, t.quantile = q.Rank, q.Quantile
 	}
-	if _, err := t.crashRestartCoordinator(func() proto.Coordinator { return fresh }); err != nil {
-		return err
-	}
-	t.rankFn, t.quantile = rankFn, quantile
-	return nil
+	return err
 }
