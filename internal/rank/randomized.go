@@ -4,19 +4,49 @@
 // residual sampling, and the deterministic baseline of Cormode et al. [6]
 // (periodic Greenwald–Khanna snapshots).
 //
+// # Which nodes exist
+//
+// The paper runs one summary per node of a binary tree over a chunk's blocks
+// and ships every node when it fills, which serves any interval of blocks.
+// This coordinator only ever decomposes a prefix [0, q) of a chunk, q the
+// number of completed blocks, into one node per set bit of q: the node for
+// bit ℓ starts where the higher bits end, at a multiple of 2^(ℓ+1) blocks,
+// so its position within level ℓ is even. A node at an odd position is never
+// read (its parent fills on the same arrival and covers it), and neither is
+// one that cannot fill before the chunk's capacity runs out — the root,
+// whenever the block count is not a power of two. A level-ℓ node at pos is
+// therefore readable iff pos is even and (pos+1)·2^ℓ·b ≤ cap, and sites
+// create, feed and ship readable nodes only (chunk.readable is the one place
+// that rule lives). Exactly one readable node ends with each block — level
+// t, for a completed-block count of 2^t·odd — so a chunk sends one summary
+// per block, and the coordinator advances its completed-block count from a
+// summary of any level: a node at (ℓ, pos) ends with block (pos+1)·2^ℓ.
+//
+// Dropping nodes must not move any random draw, or answers would change from
+// bit-identical to merely equal in distribution. Creating a node splits the
+// site's RNG once, so a node that is skipped still spends that one draw, at
+// the arrival and in the level order at which it would have been created:
+// every surviving node's seed, every merge offset inside it and every
+// residual-sample gap stays the draw it was when all nodes were built. The
+// asymptotics are the paper's; the constant is smaller (about half the
+// summary messages and half the per-arrival summary inserts).
+//
 // # Query index: live and sealed chunks
 //
 // Rank(x) sums, over every chunk the coordinator has heard of, the weights of
 // the stored values below x. Each site has one live chunk, the one its latest
-// message addressed, with a private (value, cumulative weight) index rebuilt
-// after a message. When the site addresses another chunk id the previous one
-// is sealed — links are FIFO, so it will not change again — and its index
-// moves onto a coordinator-wide stack of sorted runs merged by the
-// logarithmic method. A query is one binary search per run, O(log N) of
-// them, plus one per live chunk, at most K, however many chunks were ever
-// opened. The stack is a cache, neither persisted nor charged as space; a
-// message that does reach a sealed chunk (a rejoined site restarts its ids
-// at 0) marks it stale, and the next query rebuilds it from the records.
+// message addressed. It answers from a private (value, cumulative weight)
+// index of its covered prefix, rebuilt after a summary arrives, plus a scan
+// of its residual samples — the few with an index beyond the prefix — at
+// weight 1/p. When the site addresses another chunk id the previous one
+// is sealed — links are FIFO, so it will not change again — and prefix and
+// residual are indexed together and pushed onto a coordinator-wide stack of
+// sorted runs merged by the logarithmic method. A query is one binary search
+// per run, O(log N) of them, plus one per live chunk, at most K, however many
+// chunks were ever opened. The stack is a cache, neither persisted nor
+// charged as space; a message that does reach a sealed chunk (a rejoined site
+// restarts its ids at 0) marks it stale, and the next query rebuilds it from
+// the records.
 //
 // Merging re-associates a floating-point sum, yet answers stay bit-identical
 // to a chunk-by-chunk walk: every weight is an integer (a merge-summary
@@ -26,8 +56,8 @@
 package rank
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -37,8 +67,9 @@ import (
 	"disttrack/internal/summary/merge"
 )
 
-// SummaryMsg ships the summary of a full tree node. Its payload is the
-// snapshot plus level and node-position tags.
+// SummaryMsg ships the summary of a full, readable tree node (see "Which
+// nodes exist" in the package comment): one per completed block. Its payload
+// is the snapshot plus level and node-position tags.
 type SummaryMsg struct {
 	Chunk int64 // per-site chunk sequence number
 	Level int
@@ -77,6 +108,22 @@ func (c Config) effEps() float64 {
 	return c.Eps / r
 }
 
+// maxBlocks bounds the completed-block count (Pos+1)<<Level a summary can
+// announce. A chunk holds cap/b blocks with cap = ⌊n̄/k⌋ and b = ⌊ε'n̄/√k⌋,
+// both at least 1, and ⌊y⌋ > y/2 for y ≥ 1, so cap/b < 2/(ε'√k) whenever it
+// exceeds 1.
+func (c Config) maxBlocks() int {
+	return int(2/(c.effEps()*math.Sqrt(float64(c.K)))) + 1
+}
+
+// maxChunks bounds a chunk id. A round ends once the reported counts sum to
+// 2n̄, which a single site's doubling reports reach within 4n̄ arrivals — at
+// most 8K+1 chunks of ⌊n̄/k⌋ > n̄/2k elements — and there are at most 63
+// rounds: under 2^9·(K+1) ids. The flat 2^20 on top is for a site running
+// ahead of a delayed broadcast while n̄ < K, where every arrival opens a
+// chunk.
+func (c Config) maxChunks() int64 { return 1<<20 + 512*(int64(c.K)+1) }
+
 func (c Config) validate() {
 	if c.K <= 0 {
 		panic("rank: K must be positive")
@@ -96,12 +143,23 @@ type chunk struct {
 	b       int64 // block size εn̄/√k
 	h       int   // tree height: levels 0..h
 	arrived int64
-	active  []*merge.Summary // one active node per level (nil = none)
+	blocks  int              // completed blocks
+	inBlock int64            // arrivals into the current block; 0 = the next one opens it
+	active  []*merge.Summary // the readable node in progress at each level (nil = none)
+	feed    []*merge.Summary // active's non-nil entries, fixed for the current block
+}
+
+// readable reports whether a prefix decomposition can ever read the level-ℓ
+// node at pos: only even positions appear in one, and the node must complete
+// inside the chunk (see "Which nodes exist" in the package comment).
+func (c *chunk) readable(level, pos int) bool {
+	return pos&1 == 0 && (int64(pos)+1)*(c.b<<uint(level)) <= c.cap
 }
 
 // Site is the per-site state machine of the randomized rank tracker. The
 // residual sampling coin is skip-sampled (one geometric gap draw per
-// forwarded sample instead of one Bernoulli draw per arrival), tree nodes
+// forwarded sample instead of one Bernoulli draw per arrival), only the tree
+// nodes a prefix decomposition can read are built (chunk.readable), they
 // draw their memory from a per-site merge.Pool, and ArriveBatch ingests runs
 // of identical values through merge.InsertRun, jumping in closed form to the
 // next summary-emission, residual-sample, or doubling-report boundary.
@@ -182,28 +240,58 @@ func (c *chunk) bufSize(level int) int {
 	return s
 }
 
+// openBlock runs at a block's first arrival: it creates the readable nodes
+// that start with the block, lowest level first, and fixes the block's feed
+// list. A node that starts here but is not readable still spends the one
+// draw pool.NewSummary's RNG split would have taken from the site RNG, so
+// every later draw — node seeds, merge offsets, residual-sample gaps — is
+// the one it would be if every node were built.
+func (s *Site) openBlock(c *chunk) {
+	c.feed = c.feed[:0]
+	for level := 0; level <= c.h; level++ {
+		if c.blocks&(1<<uint(level)-1) == 0 { // a level-ℓ node starts at this block
+			if c.readable(level, c.blocks>>uint(level)) {
+				c.active[level] = s.pool.NewSummary(c.bufSize(level), s.rng)
+			} else {
+				s.rng.Uint64()
+			}
+		}
+		if a := c.active[level]; a != nil {
+			c.feed = append(c.feed, a)
+		}
+	}
+}
+
+// closeBlock runs at a block's last arrival and ships the node that ends
+// with it. Writing the completed-block count as 2^t·odd, the nodes ending
+// here are those of levels 0..t, and only the level-t one sits at an even
+// position: one summary per block. It is readable, having just completed
+// inside the chunk, and t ≤ h because a chunk holds at most 2^h blocks.
+func (s *Site) closeBlock(c *chunk, out func(proto.Message)) {
+	c.blocks++
+	c.inBlock = 0
+	t := bits.TrailingZeros(uint(c.blocks))
+	out(SummaryMsg{Chunk: c.id, Level: t, Pos: c.blocks>>uint(t) - 1, Snap: c.active[t].Snapshot()})
+	c.active[t].Release()
+	c.active[t] = nil
+}
+
 // Arrive implements proto.Site.
 func (s *Site) Arrive(item int64, value float64, out func(proto.Message)) {
 	if s.cur == nil || s.cur.arrived >= s.cur.cap {
 		s.cur = s.newChunk()
 	}
 	c := s.cur
+	if c.inBlock == 0 {
+		s.openBlock(c)
+	}
 	c.arrived++
-
-	// Feed every active node on the path (one per level), creating nodes
-	// lazily, and ship summaries of nodes that just became full.
-	for level := 0; level <= c.h; level++ {
-		if c.active[level] == nil {
-			c.active[level] = s.pool.NewSummary(c.bufSize(level), s.rng)
-		}
-		c.active[level].Insert(value)
-		span := c.b << uint(level) // elements covered by a level-ℓ node
-		if c.arrived%span == 0 {
-			pos := int((c.arrived - 1) / span)
-			out(SummaryMsg{Chunk: c.id, Level: level, Pos: pos, Snap: c.active[level].Snapshot()})
-			c.active[level].Release()
-			c.active[level] = nil
-		}
+	c.inBlock++
+	for _, a := range c.feed {
+		a.Insert(value)
+	}
+	if c.inBlock == c.b {
+		s.closeBlock(c, out)
 	}
 
 	// Residual sampling at rate p, skip-sampled.
@@ -219,14 +307,14 @@ func (s *Site) Arrive(item int64, value float64, out func(proto.Message)) {
 
 // ArriveBatch implements proto.BatchSite. A run of identical values is
 // ingested in two strides per iteration: the arrivals strictly before the
-// next possible message — the next summary emission (multiples of the block
-// size b), the next residual sample (s.skip), and the next doubling report
-// (rounds gap), all known in closed form — enter the active tree nodes as
-// one InsertRun per level, then the boundary arrival takes the full serial
+// next possible message — the next summary emission (a block's last
+// arrival), the next residual sample (s.skip), and the next doubling report
+// (rounds gap), all known in closed form — enter the block's feed list as
+// one InsertRun per node, then the boundary arrival takes the full serial
 // path so any message lands exactly where element-at-a-time delivery would
 // put it. The result is bit-identical to count Arrive calls: InsertRun
-// matches Insert's buffer contents and RNG draws, nodes are created in the
-// same level order, and the site RNG is consulted at the same arrivals.
+// matches Insert's buffer contents and RNG draws, a block is opened at the
+// same arrival, and the site RNG is consulted at the same arrivals.
 func (s *Site) ArriveBatch(item int64, value float64, count int64, out func(proto.Message)) int64 {
 	var done int64
 	emitted := false
@@ -239,8 +327,8 @@ func (s *Site) ArriveBatch(item int64, value float64, count int64, out func(prot
 		// quiet = arrivals guaranteed message-free, keeping one arrival in
 		// reserve for the boundary element below.
 		quiet := count - done - 1
-		if g := c.b - 1 - c.arrived%c.b; g < quiet {
-			quiet = g // next summary emission (all levels emit at multiples of b)
+		if g := c.b - 1 - c.inBlock; g < quiet {
+			quiet = g // next summary emission (the block's last arrival)
 		}
 		if g := c.cap - 1 - c.arrived; g < quiet {
 			quiet = g // stay inside this chunk; Arrive handles the rollover
@@ -252,13 +340,14 @@ func (s *Site) ArriveBatch(item int64, value float64, count int64, out func(prot
 			quiet = g // next doubling report
 		}
 		if quiet > 0 {
-			for level := 0; level <= c.h; level++ {
-				if c.active[level] == nil {
-					c.active[level] = s.pool.NewSummary(c.bufSize(level), s.rng)
-				}
-				c.active[level].InsertRun(value, quiet)
+			if c.inBlock == 0 {
+				s.openBlock(c)
+			}
+			for _, a := range c.feed {
+				a.InsertRun(value, quiet)
 			}
 			c.arrived += quiet
+			c.inBlock += quiet
 			s.skip -= quiet
 			s.rs.Skip(quiet)
 			done += quiet
@@ -303,25 +392,39 @@ func (s *Site) P() float64 { return s.p }
 
 // chunkView is the coordinator's record of one chunk: node summaries
 // indexed by [level][pos] and samples tail-partitioned around the covered
-// prefix. A live chunk also caches its query index.
+// prefix. A live chunk also caches the index of its covered prefix.
 type chunkView struct {
 	p       float64
 	b       int64
-	leaves  int                // number of completed blocks (level-0 summaries seen)
+	leaves  int                // completed blocks: the largest (Pos+1)<<Level seen
 	levels  [][]merge.Snapshot // levels[l][pos]; a zero-N snapshot marks absence
 	samples []sample           // in index order (sites send them in order)
 	tail    int                // samples[tail:] have index > leaves*b (the residual)
 
-	dirty bool // a message arrived since idx was built
-	idx   run  // live chunks only; sealing moves it onto the run stack
+	dirty  bool // a summary arrived since prefix was built
+	prefix run  // live chunks only: the decomposition of the covered prefix
 }
 
-// run is a query index: every (value, weight) pair of one or more chunks'
-// covered-prefix binary decompositions plus their residual samples at weight
-// 1/p, sorted by value with cumulative weights. rank(x) is one binary search.
+// run is a query index: (value, weight) pairs — one or more chunks'
+// covered-prefix binary decompositions, and for sealed chunks their residual
+// samples at weight 1/p — sorted by value with cumulative weights. rank(x)
+// is one binary search.
 type run struct {
 	values []float64
 	cum    []float64 // cum[i] = Σ weights of values[:i]; len = len(values)+1
+}
+
+// indexRun indexes entries, already sorted by value, into dst's storage.
+func indexRun(dst run, entries []indexEntry) run {
+	dst.values = slices.Grow(dst.values[:0], len(entries))
+	dst.cum = append(slices.Grow(dst.cum[:0], len(entries)+1), 0)
+	total := 0.0
+	for _, e := range entries {
+		dst.values = append(dst.values, e.value)
+		total += e.weight
+		dst.cum = append(dst.cum, total)
+	}
+	return dst
 }
 
 func (r run) rank(x float64) float64 { return r.cum[sort.SearchFloat64s(r.values, x)] }
@@ -351,6 +454,56 @@ func mergeRuns(a, b run) run {
 type indexEntry struct {
 	value  float64
 	weight float64
+}
+
+// segments is the scratch area an index is built in: sorted segments of
+// entries — a node summary's buffers arrive sorted — merged pairwise, bottom
+// up, which is O(n log #segments) moves against the O(n log n) comparator
+// calls of sorting their concatenation.
+type segments struct {
+	entries, spare []indexEntry
+	ends           []int // ends[i] = where segment i stops in entries
+}
+
+func (s *segments) reset() { s.entries, s.ends = s.entries[:0], s.ends[:0] }
+
+// add appends one segment: values, sorted, at a common weight.
+func (s *segments) add(weight float64, values ...float64) {
+	for _, v := range values {
+		s.entries = append(s.entries, indexEntry{value: v, weight: weight})
+	}
+	s.ends = append(s.ends, len(s.entries))
+}
+
+// merged returns every entry added since reset, sorted by value. The slice
+// is valid until the next add.
+func (s *segments) merged() []indexEntry {
+	src, dst, ends := s.entries, s.spare, s.ends
+	for len(ends) > 1 {
+		dst = dst[:0]
+		n, start := 0, 0
+		for i := 0; i < len(ends); i += 2 {
+			mid, end := ends[i], ends[i]
+			if i+1 < len(ends) {
+				end = ends[i+1]
+			}
+			a, b := src[start:mid], src[mid:end]
+			for len(a) > 0 && len(b) > 0 {
+				if a[0].value <= b[0].value {
+					dst, a = append(dst, a[0]), a[1:]
+				} else {
+					dst, b = append(dst, b[0]), b[1:]
+				}
+			}
+			dst = append(append(dst, a...), b...)
+			ends[n], start = len(dst), end
+			n++
+		}
+		ends = ends[:n]
+		src, dst = dst, src
+	}
+	s.entries, s.spare = src, dst
+	return src
 }
 
 type sample struct {
@@ -397,47 +550,42 @@ func (v *chunkView) advanceTail() {
 	}
 }
 
-// index returns v's query index, rebuilding it from the chunk's current
-// decomposition and residual samples if a message arrived since the last.
-func (c *Coordinator) index(v *chunkView) run {
-	if !v.dirty {
-		return v.idx
-	}
-	entries := c.scratch[:0]
-	// Binary decomposition of the q = v.leaves completed blocks.
-	q := v.leaves
+// decomposition adds to seg the buffers of the binary decomposition of v's
+// q = v.leaves completed blocks. Every node it names sits at an even
+// position inside the covered prefix, so an honest site has shipped it
+// (TestDecompositionNeverMissesANode).
+func (v *chunkView) decomposition(seg *segments) {
 	start := 0
 	for level := 62; level >= 0; level-- {
 		bit := 1 << uint(level)
-		if q&bit == 0 {
+		if v.leaves&bit == 0 {
 			continue
 		}
 		if sn, ok := v.node(level, start>>uint(level)); ok {
 			for _, b := range sn.Buffers {
-				w := float64(b.Weight)
-				for _, val := range b.Values {
-					entries = append(entries, indexEntry{value: val, weight: w})
-				}
+				seg.add(float64(b.Weight), b.Values...)
 			}
 		}
 		start += bit
 	}
-	// Residual: samples with index beyond the covered prefix, at weight 1/p.
-	w := 1 / v.p
+}
+
+// liveRank answers for a live chunk: the cached index of its covered
+// prefix, rebuilt only if a summary arrived since the last query, plus a
+// scan of the few residual samples at weight 1/p.
+func (c *Coordinator) liveRank(v *chunkView, x float64) float64 {
+	if v.dirty {
+		c.seg.reset()
+		v.decomposition(&c.seg)
+		v.prefix, v.dirty = indexRun(v.prefix, c.seg.merged()), false
+	}
+	below := 0
 	for _, sm := range v.samples[v.tail:] {
-		entries = append(entries, indexEntry{value: sm.value, weight: w})
+		if sm.value < x {
+			below++
+		}
 	}
-	slices.SortFunc(entries, func(a, b indexEntry) int { return cmp.Compare(a.value, b.value) })
-	v.idx.values = v.idx.values[:0]
-	v.idx.cum = append(v.idx.cum[:0], 0)
-	total := 0.0
-	for _, e := range entries {
-		v.idx.values = append(v.idx.values, e.value)
-		total += e.weight
-		v.idx.cum = append(v.idx.cum, total)
-	}
-	c.scratch, v.dirty = entries, false
-	return v.idx
+	return v.prefix.rank(x) + float64(below)/v.p
 }
 
 // Coordinator accumulates chunk summaries and samples and answers rank
@@ -454,9 +602,9 @@ type Coordinator struct {
 	// runs is the stack of the sealed chunks' merged indexes: each run is
 	// more than twice the one above it. stale means a message reached a
 	// sealed chunk and the stack must be rebuilt before the next query.
-	runs    []run
-	stale   bool
-	scratch []indexEntry
+	runs  []run
+	stale bool
+	seg   segments
 }
 
 // NewCoordinator returns the coordinator for the randomized rank tracker.
@@ -471,15 +619,22 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 }
 
-// seal moves a chunk's index onto the run stack and merges the top two runs
-// while the lower is at most twice the upper.
+// seal indexes a chunk for good — covered prefix and residual samples in
+// one run — pushes it onto the run stack, and merges the top two runs while
+// the lower is at most twice the upper.
 func (c *Coordinator) seal(v *chunkView) {
-	r := c.index(v)
-	v.idx, v.dirty = run{}, true
-	if len(r.values) == 0 {
+	c.seg.reset()
+	v.decomposition(&c.seg)
+	w := 1 / v.p
+	for _, sm := range v.samples[v.tail:] {
+		c.seg.add(w, sm.value)
+	}
+	v.prefix, v.dirty = run{}, true
+	entries := c.seg.merged()
+	if len(entries) == 0 {
 		return
 	}
-	c.runs = append(c.runs, r)
+	c.runs = append(c.runs, indexRun(run{}, entries))
 	for n := len(c.runs); n >= 2 && len(c.runs[n-2].values) <= 2*len(c.runs[n-1].values); n-- {
 		c.runs[n-2] = mergeRuns(c.runs[n-2], c.runs[n-1])
 		c.runs = c.runs[:n-1]
@@ -499,14 +654,39 @@ func (c *Coordinator) reindex() {
 	c.stale = false
 }
 
+// admits reports whether m addresses a chunk and, for a summary, a node that
+// an honest site of this configuration can name (Config.maxChunks,
+// Config.maxBlocks). Everything a message indexes with or shifts by is
+// checked here, in front of Receive and RestoreState alike, so a corrupt
+// frame is dropped instead of panicking on a negative index, overflowing
+// (Pos+1)<<Level, or growing the records to a forged id.
+func (c *Coordinator) admits(m proto.Message) bool {
+	chunkOK := func(id int64) bool { return id >= 0 && id < c.cfg.maxChunks() }
+	switch msg := m.(type) {
+	case SummaryMsg:
+		return chunkOK(msg.Chunk) && msg.Level >= 0 && msg.Level <= 62 &&
+			msg.Pos >= 0 && msg.Pos < c.cfg.maxBlocks()>>uint(msg.Level)
+	case SampleMsg:
+		return chunkOK(msg.Chunk)
+	case proto.StateMsg:
+		return msg.Key == stateChunk && chunkOK(msg.A) && msg.B >= 1 && msg.F > 0 && msg.F <= 1
+	}
+	return false
+}
+
+// grow extends a site's chunk table to hold id.
+func (c *Coordinator) grow(site int, id int64) {
+	if n := int(id) + 1 - len(c.chunks[site]); n > 0 {
+		c.chunks[site] = append(c.chunks[site], make([]*chunkView, n)...)
+	}
+}
+
 // view returns (creating if needed) the record for a site's chunk and makes
 // it the site's live chunk, sealing the previous one. If the record exists
 // and is not live it was sealed earlier and its old index sits merged inside
 // a run, so the stack goes stale instead.
 func (c *Coordinator) view(site int, id int64) *chunkView {
-	for id >= int64(len(c.chunks[site])) {
-		c.chunks[site] = append(c.chunks[site], nil)
-	}
+	c.grow(site, id)
 	v, prev := c.chunks[site][id], c.live[site]
 	if v != nil && v == prev {
 		return v
@@ -530,11 +710,14 @@ func (c *Coordinator) view(site int, id int64) *chunkView {
 	return v
 }
 
-// addSummary stores a node summary in v and advances the covered prefix.
+// addSummary stores a node summary in v and advances the covered prefix: a
+// node of any level ends with block (Pos+1)<<Level. The prefix index goes
+// stale even when leaves stays put — a rejoined site overwrites nodes in
+// place.
 func (c *Coordinator) addSummary(v *chunkView, msg SummaryMsg) {
 	c.words += v.setNode(msg.Level, msg.Pos, msg.Snap)
-	if msg.Level == 0 && msg.Pos+1 > v.leaves {
-		v.leaves = msg.Pos + 1
+	if ends := (msg.Pos + 1) << uint(msg.Level); ends > v.leaves {
+		v.leaves = ends
 		v.advanceTail()
 	}
 	v.dirty = true
@@ -549,13 +732,15 @@ func (c *Coordinator) addSample(v *chunkView, msg SampleMsg) {
 	if msg.Index <= int64(v.leaves)*v.b {
 		v.tail = len(v.samples)
 	}
-	v.dirty = true
 }
 
 // Receive implements proto.Coordinator.
 func (c *Coordinator) Receive(from int, m proto.Message, send func(int, proto.Message), broadcast func(proto.Message)) {
 	if c.rc.Deliver(from, m, broadcast) {
 		c.p = rounds.P(c.rc.NBar(), c.cfg.K, c.cfg.effEps())
+		return
+	}
+	if !c.admits(m) {
 		return
 	}
 	switch msg := m.(type) {
@@ -581,7 +766,7 @@ func (c *Coordinator) Rank(x float64) float64 {
 	}
 	for _, v := range c.live {
 		if v != nil {
-			est += c.index(v).rank(x)
+			est += c.liveRank(v, x)
 		}
 	}
 	return est
@@ -670,11 +855,11 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		c.p = rounds.P(c.rc.NBar(), c.cfg.K, c.cfg.effEps())
 		return
 	}
-	if from < 0 || from >= len(c.chunks) {
+	if from < 0 || from >= len(c.chunks) || !c.admits(m) {
 		return
 	}
 	restored := func(id int64) *chunkView {
-		if id < 0 || id >= int64(len(c.chunks[from])) {
+		if id >= int64(len(c.chunks[from])) {
 			return nil
 		}
 		return c.chunks[from][id]
@@ -682,19 +867,14 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 	c.stale = true
 	switch msg := m.(type) {
 	case proto.StateMsg:
-		if msg.Key != stateChunk || msg.A < 0 {
-			return
-		}
-		for msg.A >= int64(len(c.chunks[from])) {
-			c.chunks[from] = append(c.chunks[from], nil)
-		}
+		c.grow(from, msg.A)
 		if c.chunks[from][msg.A] == nil {
 			c.chunks[from][msg.A] = &chunkView{p: msg.F, b: msg.B, dirty: true}
 			c.words += 3
 		}
 		c.live[from] = c.chunks[from][msg.A]
 	case SummaryMsg:
-		if v := restored(msg.Chunk); v != nil && msg.Level >= 0 && msg.Pos >= 0 {
+		if v := restored(msg.Chunk); v != nil {
 			c.addSummary(v, msg)
 		}
 	case SampleMsg:

@@ -253,7 +253,7 @@ func TestChunkDecompositionInternals(t *testing.T) {
 	if len(msgs) == 0 {
 		t.Fatal("no summaries shipped")
 	}
-	// Every level-0 node must appear exactly once per block.
+	// A level-0 node ships at most once per position (only even ones do).
 	leafCount := 0
 	posSeen := map[int]bool{}
 	for _, m := range msgs {

@@ -52,7 +52,7 @@ func NewAgg(c *Coordinator) *Agg {
 // gap-weighted virtual run.
 func (a *Agg) Receive(from int, m proto.Message, send func(int, proto.Message), broadcast func(proto.Message)) {
 	a.Coordinator.Receive(from, m, send, broadcast)
-	if msg, ok := m.(SampleMsg); ok {
+	if msg, ok := m.(SampleMsg); ok && a.admits(msg) {
 		k := chunkKey{site: from, chunk: msg.Chunk}
 		if gap := msg.Index - a.fedIdx[k]; gap > 0 {
 			a.pending = append(a.pending, feedEvent{value: msg.Value, count: gap})
