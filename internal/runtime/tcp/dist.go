@@ -18,7 +18,7 @@ import (
 // This file is the genuinely distributed mode: a coordinator process
 // (Server) and k site processes (SiteConn) running the paper's protocols
 // over real TCP connections, exchanging the same wire frames as the
-// in-process TCPLoopback transport. cmd/tracksim's serve and connect
+// in-process Loopback transport. cmd/tracksim's serve and connect
 // subcommands are thin wrappers around these two types.
 //
 // Unlike the three in-process transports, the distributed mode cannot
@@ -122,6 +122,31 @@ func (w *fanoutWriter) flush() {
 }
 
 // Server hosts a protocol's coordinator half for k remote site processes.
+//
+// One event loop owns every slot decision from the first accept to the
+// last frame. Accepted connections are handshaken on their own goroutines,
+// which only read and vet the first frame within HandshakeTimeout and post
+// a Hello or Rejoin to the loop's mailbox (anything else is rejected on
+// the spot). The loop then moves through four phases:
+//
+//   - assembling: a Hello fills an empty slot, and a Hello that contradicts
+//     the deployment (bad or duplicate site, k or fingerprint mismatch) is
+//     fatal — unless a Rejoin filled the slot, when it is the crashed
+//     predecessor's stale handshake and merely rejected. A Rejoin fills an
+//     empty slot and is resynced at once. A site whose Done is already
+//     durable is answered with its completion ack. Inspect reports false;
+//     Shutdown and Kill stop the loop. Readers start once every unfinished
+//     slot is filled.
+//   - running: site frames are logged and applied; a lost connection leaves
+//     its slot open for RejoinWait; a Rejoin resumes an open slot, is acked
+//     for a finished site, and is rejected otherwise, as is any Hello.
+//   - lingering: once every site has settled, a resumed server keeps
+//     answering the redials of sites whose Done a crash left unacknowledged,
+//     with the running phase's handlers, until each has been told or
+//     RejoinWait passes.
+//   - draining: handshakes are aborted and joined, connected sites acked
+//     and hung up on, the frames still queued applied (dropped on Kill),
+//     and the store sealed (except on Kill).
 type Server struct {
 	// Coord is the coordinator state machine (required).
 	Coord proto.Coordinator
@@ -179,11 +204,10 @@ type Server struct {
 	Resume bool
 
 	// Rejects counts connections dropped during the handshake (garbage
-	// frames, non-Hello traffic, timeouts, dialers aborted when the K
-	// sites finished assembling without them, and Rejoin dials for slots
-	// that are not open). Every counted connection settles before the
-	// message loop starts or is settled by the serve loop, so the field is
-	// final once Serve returns; plain reads are safe then.
+	// frames, non-Hello traffic, timeouts, dials still handshaking when the
+	// run ended, Hellos once the run started, and Rejoin dials for slots
+	// that are not open). Serve joins every handshake before it returns,
+	// so the field is final then; plain reads are safe.
 	Rejects int64
 
 	// Rejoins counts crashed-site slots successfully resumed by a Rejoin
@@ -193,8 +217,6 @@ type Server struct {
 	// Cost counters; only the Serve goroutine touches them (sends,
 	// dispatch, and the Report callback all run there), so they are plain
 	// fields — unlike runtime.Fabric, no cross-goroutine sharing exists.
-	// (Assembly-time rejoin replays also touch them, but strictly before
-	// the serve loop starts, under assemble's handshake mutex.)
 	messagesUp, messagesDown int64
 	wordsUp, wordsDown       int64
 	broadcasts               int64
@@ -218,38 +240,43 @@ type Server struct {
 	replayed int64
 	resyncs  int64
 
-	// box is the serve loop's mailbox, published before serving flips true
-	// so Shutdown and Kill can signal the loop from other goroutines.
+	// box is the event loop's mailbox, published before serving flips true
+	// so Shutdown, Kill and Inspect can signal the loop from other
+	// goroutines.
 	box *runtime.Mailbox
 
-	// loopDone is closed when Serve returns, after the post-run drain has
+	// loopDone is closed when Serve returns, after the final drain has
 	// applied every queued frame. Inspect selects on it so an inspectReq
 	// stranded by teardown (posted after the drain emptied the box) fails
 	// over instead of blocking forever.
 	loopDone chan struct{}
 
-	// serving gates rejoin handoffs from handshake goroutines into the
-	// serve loop's mailbox, so a Rejoin landing during teardown is closed
-	// instead of stranded.
+	// serving is true while the loop takes events: from before the first
+	// accept until the drain begins.
 	serving atomic.Bool
 
-	// Post-assembly (rejoin-candidate) handshakes run on their own
-	// goroutines; hsConns tracks their connections so Serve's teardown can
-	// abort the reads, and hsWG joins them before Serve returns — keeping
-	// the "Rejects/Rejoins are final once Serve returns" contract honest.
-	// Both are guarded by hsMu; a nil hsConns means no more may start.
+	// Handshakes run on their own goroutines; hsConns tracks their
+	// connections so the drain can abort the reads, and hsWG joins them
+	// before Serve returns — keeping the "Rejects/Rejoins are final once
+	// Serve returns" contract honest. Both are guarded by hsMu; a nil
+	// hsConns means no more may start.
 	hsMu    sync.Mutex
 	hsConns map[net.Conn]struct{}
 	hsWG    sync.WaitGroup
 }
 
-// rejoinReq hands a completed post-assembly Rejoin handshake to the serve
-// loop, which decides whether the slot is open.
-type rejoinReq struct {
-	site     int
-	arrivals int64
-	conn     net.Conn
-}
+// helloReq and rejoinReq hand a handshake's first frame to the loop, which
+// decides what the slot does with it.
+type (
+	helloReq struct {
+		wire.Hello
+		conn net.Conn
+	}
+	rejoinReq struct {
+		wire.Rejoin
+		conn net.Conn
+	}
+)
 
 // rejoinTimeout declares a dead site lost if it has not rejoined by the
 // time the timer fired. epoch guards against a slot that died, rejoined,
@@ -263,20 +290,19 @@ type rejoinTimeout struct {
 // server keeps answering finished sites' redials with completion acks.
 type lingerTimeout struct{}
 
-// shutdownReq asks the serve loop to stop gracefully (drain, final
-// snapshot, sync); killReq asks it to stop abruptly (simulated crash).
+// shutdownReq asks the loop to stop gracefully (drain, final snapshot,
+// sync); killReq asks it to stop abruptly (simulated crash).
 type (
 	shutdownReq struct{}
 	killReq     struct{}
 )
 
-// inspectReq asks the serve loop to run fn on the loop goroutine — the
-// serving surface's way to query the coordinator and read the cost ledger
-// at an instant when no frame is mid-application. done is closed after fn
-// returns.
+// inspectReq asks the loop to run fn on the loop goroutine — the serving
+// surface's way to query the coordinator and read the cost ledger at an
+// instant when no frame is mid-application. done receives whether fn ran.
 type inspectReq struct {
 	fn   func(runtime.Metrics)
-	done chan struct{}
+	done chan bool
 }
 
 // ErrShutdown is returned by Serve when Shutdown stopped it before every
@@ -290,9 +316,9 @@ var (
 // dispatching new traffic, frames already queued are drained into the
 // coordinator (and the write-ahead log), a final snapshot is written, and
 // the store is synced — so a later Serve with Resume picks up exactly
-// where this one stopped. Serve returns ErrShutdown. Reports whether a
-// running serve loop was signaled. Safe to call from any goroutine (signal
-// handlers in particular).
+// where this one stopped. Serve returns ErrShutdown, also when it was still
+// assembling its sites. Reports whether a running loop was signaled. Safe
+// to call from any goroutine (signal handlers in particular).
 func (s *Server) Shutdown() bool { return s.signal(shutdownReq{}) }
 
 // Kill asks a running Serve to stop abruptly: no drain, no final snapshot,
@@ -301,24 +327,25 @@ func (s *Server) Shutdown() bool { return s.signal(shutdownReq{}) }
 // ErrKilled.
 func (s *Server) Kill() bool { return s.signal(killReq{}) }
 
-// Inspect runs fn on the serve loop at an instant when no frame is
+// Inspect runs fn on the loop at an instant when no frame is
 // mid-application, handing it the server's cost ledger; fn may also safely
 // query s.Coord (exactly like Report callbacks). It blocks until fn has
-// run and reports true, or reports false without running fn when no serve
-// loop is available (before Serve is serving, or once the loop has shut
-// down and drained — after which the coordinator is no longer mutated, so
-// callers may read it directly). Safe to call from any goroutine.
+// run and reports true, or reports false without running fn when there is
+// no run to inspect: before Serve starts, while it is still assembling its
+// sites, or once the loop has shut down and drained — after which the
+// coordinator is no longer mutated, so callers may read it directly. Safe
+// to call from any goroutine.
 func (s *Server) Inspect(fn func(runtime.Metrics)) bool {
 	if !s.serving.Load() {
 		return false
 	}
 	// serving was set after box and loopDone, so the load above ordered
 	// both reads.
-	req := inspectReq{fn: fn, done: make(chan struct{})}
+	req := inspectReq{fn: fn, done: make(chan bool, 1)}
 	s.box.Put(req)
 	select {
-	case <-req.done:
-		return true
+	case ran := <-req.done:
+		return ran
 	case <-s.loopDone:
 		// Teardown raced the Put: the drain already emptied the box, nobody
 		// will run fn. The loop is gone, which is exactly what false means.
@@ -346,8 +373,8 @@ func (s *Server) coordRound() int64 {
 }
 
 // snapMeta captures the server's cost ledger for a snapshot header; the
-// Logger fills the Snapshots field itself. Called from the serve loop (and
-// from recovery/teardown on the Serve goroutine), never concurrently.
+// Logger fills the Snapshots field itself. Called on the Serve goroutine,
+// never concurrently.
 func (s *Server) snapMeta() wire.SnapMeta {
 	return wire.SnapMeta{
 		Config:       s.Config,
@@ -362,325 +389,129 @@ func (s *Server) snapMeta() wire.SnapMeta {
 	}
 }
 
-// recover rebuilds the coordinator from the store before any site
-// connects: snapshot first, then the write-ahead-log tail. Protocol frames
-// re-apply through the coordinator with sends counted but not transmitted
-// (no site is connected yet; each reconnecting site is resynced instead),
-// so the ledger re-derives exactly. Done and Progress records only update
-// the per-site arrival counts.
-func (s *Server) recover() error {
-	countSend := func(to int, m proto.Message) {
-		s.messagesDown++
-		s.wordsDown += int64(m.Words())
-	}
-	countCast := func(m proto.Message) {
-		s.broadcasts++
-		for i := 0; i < s.K; i++ {
-			countSend(i, m)
-		}
-	}
-	res, err := persist.Recover(s.Persist, s.Coord, func(from int, m proto.Message) {
-		switch msg := m.(type) {
-		case wire.Done:
-			if from >= 0 && from < s.K {
-				s.siteArrivals[from] = msg.Arrivals
-				s.finished[from] = true
-			}
-		case wire.Progress:
-			if from >= 0 && from < s.K {
-				s.siteArrivals[from] = msg.Arrivals
-			}
-		default:
-			s.messagesUp++
-			s.wordsUp += int64(m.Words())
-			s.Coord.Receive(from, m, countSend, countCast)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	if res.HasSnapshot {
-		meta := res.Meta
-		if s.Config != 0 && meta.Config != 0 && meta.Config != s.Config {
-			return fmt.Errorf(
-				"tcp: resume: store was written by configuration fingerprint %#x, server has %#x (mismatched problem/algorithm/ε?)",
-				meta.Config, s.Config)
-		}
-		// The header's ledger covers everything up to the snapshot; the
-		// replay above re-counted the tail. Arrival counts take the larger
-		// of the two (the WAL tail's Progress/Done records supersede the
-		// header's values when present).
-		s.messagesUp += meta.MessagesUp
-		s.messagesDown += meta.MessagesDown
-		s.wordsUp += meta.WordsUp
-		s.wordsDown += meta.WordsDown
-		s.broadcasts += meta.Broadcasts
-		s.resyncs += meta.Resyncs
-		if len(meta.SiteArrivals) == s.K {
-			for i, a := range meta.SiteArrivals {
-				if a > s.siteArrivals[i] {
-					s.siteArrivals[i] = a
-				}
-			}
-		}
-		if len(meta.Finished) == s.K {
-			for i, f := range meta.Finished {
-				if f {
-					s.finished[i] = true
-				}
-			}
-		}
-		s.log.SeedSnapshots(meta.Snapshots)
-	}
-	s.replayed = res.ReplayedFrames
-	return nil
+// reject drops a connection the loop or a handshake refused, counting it.
+func (s *Server) reject(conn net.Conn) {
+	conn.Close()
+	atomic.AddInt64(&s.Rejects, 1)
 }
 
-// assemble accepts connections on ln until all s.K sites have completed
-// their Hello handshake, filling conns. Each accepted connection is
-// handshaken on its own goroutine with a read deadline, so a stray
-// connection — a port scanner, a health check, a client speaking another
-// protocol, a dialer that never speaks — costs nothing serially: it is
-// rejected (and counted in Rejects) while legitimate sites assemble past
-// it. Only a well-formed Hello that contradicts the deployment (bad or
-// duplicate site index, k or fingerprint mismatch) is a loud, fatal
-// error. Accepting continues in the background until the caller closes
-// ln; post-assembly dials are handshaken as Rejoin candidates — a valid
-// Rejoin for this deployment is handed to the serve loop via rejoin,
-// anything else is rejected.
-func (s *Server) assemble(ln net.Listener, conns []net.Conn, rejoin func(wire.Rejoin, net.Conn)) error {
-	timeout := s.HandshakeTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	var (
-		mu         sync.Mutex
-		registered int
-		fatalErr   error
-		done       bool
-		inflight   = map[net.Conn]bool{}
-		hsWG       sync.WaitGroup
-		// rejoinedSlot marks slots filled by a Rejoin during assembly: a
-		// Hello colliding with such a slot is the crashed predecessor's
-		// stale handshake surfacing late, not a misdeployed duplicate
-		// site, and must not abort the run.
-		rejoinedSlot = make([]bool, s.K)
-	)
-	// Sites whose Done a resumed coordinator recovered from its store are
-	// not expected back: assembly completes when the unfinished sites are
-	// present. (On a fresh server every slot is unfinished and target == K.)
-	target := 0
-	for i := 0; i < s.K; i++ {
-		if !s.finished[i] {
-			target++
-		}
-	}
-	assembled := make(chan struct{})
-	// finish, called with mu held, ends assembly (success or fatal) and
-	// aborts the handshakes still in flight — a connection that has not
-	// produced its Hello by the time all K sites are present is not one of
-	// them, so it is rejected (and counted) right here; closing it
-	// unblocks its reader immediately.
-	finish := func() {
-		if done {
-			return
-		}
-		done = true
-		for conn := range inflight {
-			conn.Close()
-			atomic.AddInt64(&s.Rejects, 1)
-		}
-		close(assembled)
-	}
-
-	handshake := func(conn net.Conn) {
-		defer hsWG.Done()
-		conn.SetReadDeadline(time.Now().Add(timeout))
-		m, _, err := wire.ReadFrame(conn, nil)
-		mu.Lock()
-		defer mu.Unlock()
-		delete(inflight, conn)
-		if done {
-			// Assembly ended while this handshake was in flight; finish
-			// already closed and counted the connection.
-			conn.Close()
-			return
-		}
+// accept hands every connection on ln to its own handshake goroutine, so a
+// stray connection — a port scanner, a health check, a client speaking
+// another protocol, a dialer that never speaks — costs nothing serially.
+// It runs until the caller closes ln; once the drain has begun, new
+// connections are simply closed.
+func (s *Server) accept(ln net.Listener, timeout time.Duration) {
+	for {
+		conn, err := ln.Accept()
 		if err != nil {
-			conn.Close()
-			atomic.AddInt64(&s.Rejects, 1)
+			s.box.Put(fmt.Errorf("tcp: serve accept: %w", err))
 			return
 		}
-		// A Rejoin during assembly is a site whose Hello the server never
-		// registered — its first connection died (with the Hello possibly
-		// still in a network buffer) and it redialed before assembly
-		// completed. It registers like a Hello, but mismatches are
-		// rejected non-fatally (the dialer retries; once assembly ends the
-		// serve loop arbitrates rejoins properly).
-		site, hk, hcfg := -1, 0, uint64(0)
-		isRejoin := false
-		switch h := m.(type) {
-		case wire.Hello:
-			site, hk, hcfg = h.Site, h.K, h.Config
-		case wire.Rejoin:
-			site, hk, hcfg, isRejoin = h.Site, h.K, h.Config, true
-		default:
-			conn.Close()
-			atomic.AddInt64(&s.Rejects, 1)
-			return
-		}
-		switch {
-		case site >= 0 && site < s.K && s.finished[site]:
-			// The site's Done is already durable — it is dialing back only
-			// because the previous coordinator crashed before acknowledging
-			// it. Acknowledge with a Resync carrying its final arrival count
-			// and hang up; the slot stays out of the assembly count.
-			if frame, err := wire.AppendFrame(nil, wire.Resync{
-				Round: wire.ResyncComplete, Arrivals: s.siteArrivals[site]}); err == nil {
-				if _, werr := conn.Write(frame); werr == nil {
-					s.ackDelivered[site] = true
-				}
-			}
-			conn.Close()
-			return
-		case site >= 0 && site < s.K && conns[site] != nil && rejoinedSlot[site] && !isRejoin:
-			// The slot was resumed by a replacement process while this —
-			// the crashed predecessor's — Hello was still in flight.
-			conn.Close()
-			atomic.AddInt64(&s.Rejects, 1)
-			return
-		case site < 0 || site >= s.K || conns[site] != nil:
-			fatalErr = fmt.Errorf("tcp: serve handshake: unexpected %#v", m)
-		case hk != s.K:
-			fatalErr = fmt.Errorf("tcp: site %d dialed with k=%d, server has k=%d",
-				site, hk, s.K)
-		case hcfg != s.Config:
-			fatalErr = fmt.Errorf(
-				"tcp: site %d dialed with configuration fingerprint %#x, server has %#x (mismatched problem/algorithm/ε?)",
-				site, hcfg, s.Config)
-		default:
-			if isRejoin {
-				// Acknowledge so the dialer's rejoin handshake completes. On
-				// a resumed server the coordinator already carries recovered
-				// state, so the Resync reports the real round and this slot's
-				// last logged arrival count, and the fresh site machine is
-				// replayed into the current round — exactly as a mid-run
-				// rejoin would be. On a fresh server all of that is zero and
-				// the replay emits nothing. Counters are safe here: the serve
-				// loop starts only after assemble joins every handshake.
-				if frame, err := wire.AppendFrame(nil, wire.Resync{
-					Round: s.coordRound(), Arrivals: s.siteArrivals[site]}); err == nil {
-					conn.Write(frame)
-				}
-				if rs, ok := s.Coord.(proto.Resyncer); ok {
-					var frame []byte
-					rs.Resync(func(m proto.Message) {
-						s.messagesDown++
-						s.wordsDown += int64(m.Words())
-						var err error
-						frame, err = wire.AppendFrame(frame[:0], m)
-						if err == nil {
-							conn.Write(frame)
-						}
-					})
-					s.resyncs++
-				}
-				atomic.AddInt64(&s.Rejoins, 1)
-				rejoinedSlot[site] = true
-			}
-			conn.SetReadDeadline(time.Time{})
-			conns[site] = conn
-			registered++
-			if registered == target {
-				finish()
-			}
-			return
-		}
-		if isRejoin {
-			// A mis-shaped rejoin must not abort a healthy assembly.
-			fatalErr = nil
-			conn.Close()
-			atomic.AddInt64(&s.Rejects, 1)
-			return
-		}
-		conn.Close()
-		finish()
-	}
-
-	// rejoinHandshake vets a post-assembly dial: only a well-formed Rejoin
-	// frame matching this deployment reaches the serve loop; everything
-	// else — garbage, silent dials, mismatched shapes — is rejected, never
-	// fatal (a running system must shrug off strays).
-	rejoinHandshake := func(conn net.Conn) {
-		defer s.hsWG.Done()
-		conn.SetReadDeadline(time.Now().Add(timeout))
-		m, _, err := wire.ReadFrame(conn, nil)
 		s.hsMu.Lock()
-		delete(s.hsConns, conn)
+		if s.hsConns == nil {
+			s.hsMu.Unlock()
+			conn.Close()
+			continue
+		}
+		s.hsConns[conn] = struct{}{}
+		s.hsWG.Add(1)
 		s.hsMu.Unlock()
-		if err == nil {
-			if rj, ok := m.(wire.Rejoin); ok &&
-				rj.Site >= 0 && rj.Site < s.K && rj.K == s.K && rj.Config == s.Config {
-				conn.SetReadDeadline(time.Time{})
-				rejoin(rj, conn)
-				return
+		go s.handshake(conn, timeout)
+	}
+}
+
+// handshake reads conn's first frame within the deadline and posts a Hello
+// or Rejoin to the loop; garbage, silence and any other frame are rejected
+// here. It posts before it is joined, so the drain settles every posted
+// handshake.
+func (s *Server) handshake(conn net.Conn, timeout time.Duration) {
+	defer s.hsWG.Done()
+	conn.SetReadDeadline(time.Now().Add(timeout))
+	m, _, _ := wire.ReadFrame(conn, nil)
+	conn.SetReadDeadline(time.Time{})
+	s.hsMu.Lock()
+	delete(s.hsConns, conn)
+	s.hsMu.Unlock()
+	switch h := m.(type) {
+	case wire.Hello:
+		s.box.Put(helloReq{h, conn})
+	case wire.Rejoin:
+		s.box.Put(rejoinReq{h, conn})
+	default:
+		s.reject(conn)
+	}
+}
+
+// phase is where the loop is in a Serve call's life; see Server.
+type phase int
+
+const (
+	recovering phase = iota
+	assembling
+	running
+	lingering
+	draining
+)
+
+// loop is one Serve call's event-loop state. Only the Serve goroutine
+// touches it.
+type loop struct {
+	*Server
+	phase phase
+	conns []net.Conn
+	// settled marks slots whose Done was applied or that were declared
+	// lost (s.finished is the Done subset); live is the connection state;
+	// epoch counts a slot's losses and rejoins, guarding stale rejoin
+	// timers (while assembling, epoch > 0 means a Rejoin filled the slot).
+	settled []bool
+	live    []bool
+	epoch   []int
+	// waiting counts unfinished slots no connection has filled yet (the
+	// loop assembles while it is positive); remaining counts unsettled
+	// slots.
+	waiting, remaining, lost int
+	processed                int64
+	readers                  sync.WaitGroup
+
+	// Outbound frames coalesce in the fanout writer and go on the wire at
+	// the loop's event edges (the loop flushes before blocking for the next
+	// event): one Receive's cascade — replies, a round broadcast, a resync
+	// replay — rides one write per destination instead of one per message,
+	// and a broadcast is encoded once however many sites it reaches. Sends
+	// to a slot with no connection are charged (ledger parity) but dropped.
+	w    *fanoutWriter
+	send func(to int, m proto.Message)
+	cast func(m proto.Message)
+}
+
+func newLoop(s *Server) *loop {
+	l := &loop{Server: s, conns: make([]net.Conn, s.K),
+		settled: make([]bool, s.K), live: make([]bool, s.K), epoch: make([]int, s.K)}
+	l.w = newFanoutWriter(l.conns)
+	l.send = func(to int, m proto.Message) {
+		l.messagesDown++
+		l.wordsDown += int64(m.Words())
+		if l.conns[to] != nil {
+			l.w.unicast(to, m)
+		}
+	}
+	l.cast = func(m proto.Message) {
+		l.broadcasts++
+		start := len(l.w.shared)
+		buf, encErr := wire.AppendFrame(l.w.shared, m)
+		if encErr == nil {
+			l.w.shared = buf
+		}
+		sg := outSeg{shared: true, start: start, end: len(l.w.shared)}
+		for to, conn := range l.conns {
+			l.messagesDown++
+			l.wordsDown += int64(m.Words())
+			if conn != nil && encErr == nil {
+				l.w.add(to, sg)
 			}
 		}
-		conn.Close()
-		atomic.AddInt64(&s.Rejects, 1)
 	}
-
-	if target == 0 {
-		// Every site already finished (a resume of a completed run): there
-		// is nothing to assemble; dials from here on are rejoin candidates.
-		mu.Lock()
-		finish()
-		mu.Unlock()
-	}
-
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			mu.Lock()
-			if err != nil {
-				if !done {
-					fatalErr = fmt.Errorf("tcp: serve accept: %w", err)
-					finish()
-				}
-				mu.Unlock()
-				return
-			}
-			if done {
-				mu.Unlock()
-				// Register under hsMu so Serve's teardown (which nils the
-				// map, closes the registered conns, and joins hsWG) can
-				// never race a late handshake spawn.
-				s.hsMu.Lock()
-				if s.hsConns == nil {
-					s.hsMu.Unlock()
-					conn.Close() // the run is over; post-run strays just go away
-					continue
-				}
-				s.hsConns[conn] = struct{}{}
-				s.hsWG.Add(1)
-				s.hsMu.Unlock()
-				go rejoinHandshake(conn)
-				continue
-			}
-			inflight[conn] = true
-			hsWG.Add(1)
-			mu.Unlock()
-			go handshake(conn)
-		}
-	}()
-
-	<-assembled
-	// Every pre-assembly connection settles before the message loop starts
-	// (aborted handshakes return promptly — finish closed their conns).
-	hsWG.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return fatalErr
+	return l
 }
 
 // Serve accepts s.K site connections on ln, runs the coordinator until
@@ -690,480 +521,481 @@ func (s *Server) Serve(ln net.Listener) (runtime.Metrics, error) {
 	if s.Coord == nil || s.K < 1 {
 		return runtime.Metrics{}, fmt.Errorf("tcp: server needs a coordinator and K >= 1")
 	}
-	conns := make([]net.Conn, s.K)
-	defer func() {
-		for _, conn := range conns {
-			if conn != nil {
-				conn.Close()
-			}
-		}
-	}()
-
-	s.siteArrivals = make([]int64, s.K)
-	s.finished = make([]bool, s.K)
-	s.ackDelivered = make([]bool, s.K)
-	s.liveCount = s.K
 	if s.Resume && s.Persist == nil {
 		return runtime.Metrics{}, fmt.Errorf("tcp: Resume needs a Persist store")
 	}
+	s.siteArrivals = make([]int64, s.K)
+	s.finished = make([]bool, s.K)
+	s.ackDelivered = make([]bool, s.K)
+	l := newLoop(s)
 	if s.Persist != nil {
 		s.log = persist.NewLogger(s.Persist, s.Coord, s.SnapshotEvery, s.snapMeta)
 		if s.Resume {
-			if err := s.recover(); err != nil {
+			if err := l.recover(); err != nil {
 				return runtime.Metrics{}, err
 			}
 		}
 	}
-	box := runtime.NewMailbox()
-	s.box = box
+	// Sites whose Done a resumed coordinator recovered from its store are
+	// not expected back. (On a fresh server every slot is unfinished.)
+	s.liveCount, l.remaining = 0, 0
+	for i, f := range s.finished {
+		l.settled[i] = f
+		if f {
+			s.liveCount++
+		} else {
+			l.remaining++
+		}
+	}
+	l.waiting, l.phase = l.remaining, assembling
+
+	timeout := s.HandshakeTimeout
+	if timeout == 0 {
+		timeout = 10 * time.Second
+	}
+	s.box = runtime.NewMailbox()
 	s.loopDone = make(chan struct{})
 	defer close(s.loopDone) // after the final drain: no more Coord mutations
 	s.hsConns = map[net.Conn]struct{}{}
 	s.serving.Store(true)
 	defer s.serving.Store(false)
-	rejoinHandoff := func(rj wire.Rejoin, conn net.Conn) {
-		if !s.serving.Load() {
-			conn.Close()
-			atomic.AddInt64(&s.Rejects, 1)
-			return
-		}
-		box.Put(rejoinReq{site: rj.Site, arrivals: rj.Arrivals, conn: conn})
-	}
-	// stopHandshakes aborts and joins the post-assembly handshake probes;
-	// after it, no goroutine touches Rejects/Rejoins again.
-	stopHandshakes := func() {
-		s.hsMu.Lock()
-		for conn := range s.hsConns {
-			conn.Close()
-		}
-		s.hsConns = nil
-		s.hsMu.Unlock()
-		s.hsWG.Wait()
-	}
-	if err := s.assemble(ln, conns, rejoinHandoff); err != nil {
-		stopHandshakes()
-		return runtime.Metrics{}, err
-	}
+	go s.accept(ln, timeout)
+	return l.drain(l.run())
+}
 
-	// Per-site readers feed one coordinator loop; writes to the sites all
-	// happen on that loop, so each connection has a single reader and a
-	// single writer. A reader keeps draining past the site's Done frame: a
-	// finished site still answers round broadcasts triggered by the other
-	// sites' traffic (e.g. the count tracker's AdjustMsg re-randomization),
-	// and those protocol messages must reach the coordinator. Readers exit
-	// only when their connection ends — the site crashed (its slot then
-	// waits RejoinWait for a Rejoin dial) or Serve hung up at run end.
-	var rg sync.WaitGroup
-	startReader := func(i int, conn net.Conn) {
-		rg.Add(1)
-		go func() {
-			defer rg.Done()
-			doneSeen := false
-			var buf []byte
-			for {
-				m, b, err := wire.ReadFrame(conn, buf)
-				buf = b
-				if err != nil {
-					if !doneSeen {
-						box.Put(runtime.FromMsg{From: i, Msg: nil}) // site lost
-					}
-					return
+// run dispatches events until the run ends or is stopped, and returns why
+// it stopped (nil for a run whose sites all settled).
+func (l *loop) run() error {
+	for {
+		if l.phase == assembling && l.waiting == 0 {
+			l.phase = running
+			for i, conn := range l.conns {
+				if conn != nil { // nil = recovered-finished slot, nobody dialed
+					l.startReader(i, conn)
 				}
-				if _, done := m.(wire.Done); done {
-					doneSeen = true
-				}
-				box.Put(runtime.FromMsg{From: i, Msg: m})
 			}
-		}()
-	}
-	for i := range conns {
-		if conns[i] != nil { // nil = recovered-finished slot, nobody dialed
-			startReader(i, conns[i])
 		}
-	}
-
-	// Outbound frames coalesce in the fanout writer and go on the wire at
-	// the serve loop's event edges (recv flushes before blocking for the
-	// next event): one Receive's cascade — replies, a round broadcast, a
-	// resync replay — rides one write per destination instead of one per
-	// message, and a broadcast is encoded once however many sites it
-	// reaches.
-	var frame []byte
-	w := newFanoutWriter(conns)
-	send := func(to int, m proto.Message) {
-		s.messagesDown++
-		s.wordsDown += int64(m.Words())
-		if conns[to] == nil {
-			return // recovered-finished slot: charged (ledger parity) but gone
-		}
-		w.unicast(to, m)
-	}
-	broadcast := func(m proto.Message) {
-		s.broadcasts++
-		start := len(w.shared)
-		buf, encErr := wire.AppendFrame(w.shared, m)
-		if encErr == nil {
-			w.shared = buf
-		}
-		sg := outSeg{shared: true, start: start, end: len(w.shared)}
-		for to := range conns {
-			s.messagesDown++
-			s.wordsDown += int64(m.Words())
-			if conns[to] == nil || encErr != nil {
-				continue
+		if l.phase != assembling && l.remaining == 0 {
+			// A resumed run can end before a recovered-finished site
+			// redials: the crash ate its completion ack, and its slot has
+			// no connection for the drain's ack to reach it on. Linger
+			// within the rejoin window answering those redials, so every
+			// such site learns its work is durable instead of exhausting
+			// its redial budget against a server that has already gone.
+			if l.lost > 0 || l.RejoinWait <= 0 || l.unacked() == 0 {
+				return nil
 			}
-			w.add(to, sg)
+			if l.phase == running {
+				l.phase = lingering
+				box := l.box
+				defer time.AfterFunc(l.RejoinWait, func() { box.Put(lingerTimeout{}) }).Stop()
+			}
 		}
-	}
-	recv := func() any {
-		w.flush()
-		v, _ := box.Get()
-		return v
-	}
-
-	// finished settles a slot (Done applied, or declared lost); s.finished
-	// additionally marks the Done-applied subset, which snapshots persist
-	// and redials are acknowledged from. Slots the recovery already settled
-	// never count toward remaining, and have no connection.
-	remaining, lost := 0, 0
-	finished := make([]bool, s.K) // per-site Done/lost bookkeeping
-	live := make([]bool, s.K)     // per-site connection state
-	epoch := make([]int, s.K)     // guards stale rejoin timers
-	for i := range live {
-		finished[i] = s.finished[i]
-		live[i] = conns[i] != nil
-		if !finished[i] {
-			remaining++
-		}
-	}
-	declareLost := func(site int) {
-		finished[site] = true
-		remaining--
-		lost++
-	}
-	var processed int64
-	var stopErr error // set when Shutdown, Kill, or a store failure ends the loop early
-serve:
-	for remaining > 0 {
-		v := recv()
+		l.w.flush()
+		v, _ := l.box.Get()
 		switch ev := v.(type) {
 		case shutdownReq:
-			stopErr = ErrShutdown
-			break serve
+			if l.phase == lingering {
+				return nil // every site already finished
+			}
+			return ErrShutdown
 		case killReq:
-			stopErr = ErrKilled
-			break serve
-		case rejoinReq:
-			if s.finished[ev.site] {
-				// The site's Done is already durable; it is redialing only
-				// because a previous coordinator crashed before
-				// acknowledging it. Acknowledge and hang up.
-				var err error
-				frame, err = wire.AppendFrame(frame[:0], wire.Resync{
-					Round: wire.ResyncComplete, Arrivals: s.siteArrivals[ev.site]})
-				if err == nil {
-					if _, werr := ev.conn.Write(frame); werr == nil {
-						s.ackDelivered[ev.site] = true
-					}
-				}
-				ev.conn.Close()
-				continue
+			return ErrKilled
+		case lingerTimeout:
+			return nil
+		case error: // the listener failed
+			if l.phase == assembling {
+				return ev
 			}
-			if finished[ev.site] || live[ev.site] {
-				// The slot is not open: the site finished, was declared
-				// lost, or a previous connection is still considered live
-				// (its reader has not reported the loss yet — the dialer
-				// retries and will land once it has).
-				ev.conn.Close()
-				atomic.AddInt64(&s.Rejects, 1)
-				continue
-			}
-			// Resume the slot: acknowledge with a Resync carrying the
-			// coordinator's round and the site's last acknowledged arrival
-			// count (control traffic, not charged), then replay the
-			// protocol messages that bring a fresh site machine to the
-			// current round (charged — recovery has a real communication
-			// cost).
-			epoch[ev.site]++
-			conns[ev.site] = ev.conn
-			live[ev.site] = true
-			s.liveCount++
-			atomic.AddInt64(&s.Rejoins, 1)
-			var err error
-			frame, err = wire.AppendFrame(frame[:0], wire.Resync{
-				Round: s.coordRound(), Arrivals: s.siteArrivals[ev.site]})
-			if err == nil {
-				_, err = ev.conn.Write(frame)
-			}
-			_ = err // a re-crash is caught by the new reader
-			if rs, ok := s.Coord.(proto.Resyncer); ok {
-				rs.Resync(func(m proto.Message) { send(ev.site, m) })
-				s.resyncs++
-			}
-			startReader(ev.site, ev.conn)
-			continue
-		case rejoinTimeout:
-			if !finished[ev.site] && !live[ev.site] && epoch[ev.site] == ev.epoch {
-				declareLost(ev.site)
-			}
-			continue
 		case inspectReq:
-			// On the loop: no frame is mid-application, so fn may query the
-			// coordinator and the ledger coherently.
-			ev.fn(s.metrics())
-			close(ev.done)
-			continue
-		}
-		cm := v.(runtime.FromMsg)
-		if s.log != nil && cm.Msg != nil {
-			// Write-ahead: durably log the frame before anything observes
-			// it. Rejoin frames are connection control and never logged;
-			// Done and Progress are logged so a recovery re-derives the
-			// per-site arrival counts. A store failure aborts the run —
-			// carrying on would silently void the durability contract.
-			if _, ctl := cm.Msg.(wire.Rejoin); !ctl {
-				if err := s.log.Log(cm.From, cm.Msg); err != nil {
-					stopErr = err
-					break serve
-				}
+			l.inspect(ev)
+		case helloReq:
+			if err := l.hello(ev); err != nil {
+				return err
 			}
-		}
-		switch m := cm.Msg.(type) {
-		case nil:
-			if finished[cm.From] || !live[cm.From] {
-				break // stale loss report for an already-settled slot
+		case rejoinReq:
+			l.rejoin(ev)
+		case rejoinTimeout:
+			if !l.settled[ev.site] && !l.live[ev.site] && l.epoch[ev.site] == ev.epoch {
+				l.declareLost(ev.site)
 			}
-			// Connection lost before Done: the slot goes dark. With a
-			// rejoin window the run continues degraded and the slot waits;
-			// without one the site is lost immediately (legacy behavior).
-			conns[cm.From].Close() // release the dead descriptor now
-			live[cm.From] = false
-			s.liveCount--
-			epoch[cm.From]++
-			if s.RejoinWait <= 0 {
-				declareLost(cm.From)
-				break
-			}
-			site, e := cm.From, epoch[cm.From]
-			time.AfterFunc(s.RejoinWait, func() {
-				if s.serving.Load() {
-					box.Put(rejoinTimeout{site: site, epoch: e})
-				}
-			})
-		case wire.Done:
-			// A misbehaving site repeating its Done frame must not
-			// decrement remaining twice — that would end the run while a
-			// healthy site is still streaming. First Done wins.
-			if !finished[cm.From] {
-				finished[cm.From] = true
-				s.finished[cm.From] = true
-				s.siteArrivals[cm.From] = m.Arrivals
-				remaining--
-			}
-		case wire.Progress:
-			// Control traffic: running arrival count for mid-run reports,
-			// never charged to the protocol ledger.
-			if !finished[cm.From] {
-				s.siteArrivals[cm.From] = m.Arrivals
-			}
-		case wire.Rejoin:
-			// A Rejoin frame on an established connection is protocol
-			// abuse; drop it (the handshake path is the only way in).
-		default:
-			s.messagesUp++
-			s.wordsUp += int64(cm.Msg.Words())
-			s.Coord.Receive(cm.From, cm.Msg, send, broadcast)
-			processed++
-			if s.ReportEvery > 0 && processed%s.ReportEvery == 0 && s.Report != nil {
-				s.Report(s.metrics())
+		case runtime.FromMsg:
+			if ev.Msg == nil {
+				l.lose(ev.From)
+			} else if err := l.apply(ev.From, ev.Msg); err != nil {
+				return err
 			}
 		}
 	}
-	w.flush() // ship whatever the final event left pending
-	// A resumed run can end before a recovered-finished site redials: its
-	// Done is durable from a previous incarnation, the crash ate its
-	// completion ack, and its slot has no connection for the teardown ack
-	// below to reach it on. Linger within the rejoin window answering those
-	// redials, so every such site learns its work is durable instead of
-	// exhausting its redial budget against a server that has already gone —
-	// ending early once all have been told.
-	if stopErr == nil && lost == 0 && s.RejoinWait > 0 {
-		pending := 0
-		for i := 0; i < s.K; i++ {
-			if s.finished[i] && conns[i] == nil && !s.ackDelivered[i] {
-				pending++
-			}
-		}
-		if pending > 0 {
-			timer := time.AfterFunc(s.RejoinWait, func() {
-				if s.serving.Load() {
-					box.Put(lingerTimeout{})
-				}
-			})
-		linger:
-			for pending > 0 {
-				v := recv()
-				switch ev := v.(type) {
-				case lingerTimeout, shutdownReq:
-					break linger
-				case killReq:
-					stopErr = ErrKilled
-					break linger
-				case inspectReq:
-					ev.fn(s.metrics())
-					close(ev.done)
-				case rejoinReq:
-					if !s.finished[ev.site] {
-						ev.conn.Close()
-						atomic.AddInt64(&s.Rejects, 1)
-						continue
-					}
-					var err error
-					frame, err = wire.AppendFrame(frame[:0], wire.Resync{
-						Round: wire.ResyncComplete, Arrivals: s.siteArrivals[ev.site]})
-					if err == nil {
-						_, err = ev.conn.Write(frame)
-					}
-					ev.conn.Close()
-					if err == nil && !s.ackDelivered[ev.site] {
-						s.ackDelivered[ev.site] = true
-						pending--
-					}
-				case runtime.FromMsg:
-					// Late protocol frames from the still-draining readers
-					// belong to the run; handle them exactly as the post-run
-					// drain below would.
-					switch ev.Msg.(type) {
-					case nil, wire.Done, wire.Progress, wire.Rejoin:
-					default:
-						if s.log != nil {
-							if err := s.log.Log(ev.From, ev.Msg); err != nil {
-								stopErr = err
-								break linger
-							}
-						}
-						s.messagesUp++
-						s.wordsUp += int64(ev.Msg.Words())
-						s.Coord.Receive(ev.From, ev.Msg, send, broadcast)
-					}
-				}
-			}
-			timer.Stop()
-			w.flush()
+}
+
+// unacked counts the finished sites that have not connected in this
+// incarnation and have not been acked yet.
+func (l *loop) unacked() int {
+	n := 0
+	for i, f := range l.finished {
+		if f && l.conns[i] == nil && !l.ackDelivered[i] {
+			n++
 		}
 	}
-	// Every site has finished (or a stop event landed): stop accepting
-	// rejoins, abort and join the handshakes still probing (so
-	// Rejects/Rejoins really are final when Serve returns), and hang up so
-	// the (still-draining) readers see EOF and exit, then collect them.
-	s.serving.Store(false)
-	stopHandshakes()
-	// On any orderly exit, acknowledge each connected site with a final
-	// Resync carrying its last applied arrival count before hanging up —
-	// the durable-completion ack a reconnecting site's Close waits for.
-	// With persistence the write-ahead log is synced first, so the ack
-	// never promises more than the store holds. A kill sends nothing: the
-	// missing ack is exactly what makes the sites redial the resumed
-	// coordinator.
-	if stopErr != ErrKilled {
-		acked := s.log == nil
-		if s.log != nil {
-			if err := s.log.Sync(); err != nil {
-				if stopErr == nil {
-					stopErr = err
-				}
-			} else {
-				acked = true
-			}
+	return n
+}
+
+// apply takes one site frame: log it before anything observes it, then
+// fold it into the ledger and the coordinator. A Rejoin frame on an
+// established connection is protocol abuse and dropped unlogged (the
+// handshake is the only way in). Recovery replays the log through apply,
+// unlogged; sends then reach no connection and are only charged. A store
+// failure is returned unapplied — carrying on would silently void the
+// durability contract.
+func (l *loop) apply(from int, m proto.Message) error {
+	if _, abuse := m.(wire.Rejoin); abuse {
+		return nil
+	}
+	if l.log != nil && l.phase != recovering {
+		if err := l.log.Log(from, m); err != nil {
+			return err
 		}
-		if acked {
-			for i, conn := range conns {
-				if conn == nil {
-					continue
-				}
-				var err error
-				frame, err = wire.AppendFrame(frame[:0], wire.Resync{
-					Round: wire.ResyncComplete, Arrivals: s.siteArrivals[i]})
-				if err == nil {
-					conn.Write(frame)
-				}
+	}
+	switch msg := m.(type) {
+	case wire.Done:
+		// A misbehaving site repeating its Done frame must not settle its
+		// slot twice — that would end the run while a healthy site is
+		// still streaming. First Done wins.
+		if !l.settled[from] {
+			l.settled[from], l.finished[from] = true, true
+			l.siteArrivals[from] = msg.Arrivals
+			l.remaining--
+		}
+	case wire.Progress:
+		// Control traffic: running arrival count for mid-run reports,
+		// never charged to the protocol ledger.
+		if !l.settled[from] {
+			l.siteArrivals[from] = msg.Arrivals
+		}
+	default:
+		l.messagesUp++
+		l.wordsUp += int64(m.Words())
+		l.Coord.Receive(from, m, l.send, l.cast)
+		if l.phase == running {
+			l.processed++
+			if l.ReportEvery > 0 && l.processed%l.ReportEvery == 0 && l.Report != nil {
+				l.Report(l.metrics())
 			}
 		}
 	}
-	for _, conn := range conns {
+	return nil
+}
+
+// recover rebuilds the coordinator from the store before any site
+// connects: snapshot first, then the write-ahead-log tail through apply,
+// so the ledger and the per-site arrival counts re-derive exactly. A
+// record from a site outside [0, K) means the store belongs to another
+// deployment; it is not applied and recovery fails.
+func (l *loop) recover() error {
+	var foreign error
+	res, err := persist.Recover(l.Persist, l.Coord, func(from int, m proto.Message) {
+		if from < 0 || from >= l.K {
+			if foreign == nil {
+				foreign = fmt.Errorf("tcp: resume: store holds a frame from site %d, server has k=%d (a different deployment?)",
+					from, l.K)
+			}
+			return
+		}
+		_ = l.apply(from, m) // nothing is logged while recovering, so nothing fails
+	})
+	if err == nil {
+		err = foreign
+	}
+	if err != nil {
+		return err
+	}
+	if res.HasSnapshot {
+		meta := res.Meta
+		if l.Config != 0 && meta.Config != 0 && meta.Config != l.Config {
+			return fmt.Errorf(
+				"tcp: resume: store was written by configuration fingerprint %#x, server has %#x (mismatched problem/algorithm/ε?)",
+				meta.Config, l.Config)
+		}
+		// The header's ledger covers everything up to the snapshot; the
+		// replay above re-counted the tail. Arrival counts take the larger
+		// of the two (the WAL tail's Progress/Done records supersede the
+		// header's values when present).
+		l.messagesUp += meta.MessagesUp
+		l.messagesDown += meta.MessagesDown
+		l.wordsUp += meta.WordsUp
+		l.wordsDown += meta.WordsDown
+		l.broadcasts += meta.Broadcasts
+		l.resyncs += meta.Resyncs
+		if len(meta.SiteArrivals) == l.K {
+			for i, a := range meta.SiteArrivals {
+				l.siteArrivals[i] = max(l.siteArrivals[i], a)
+			}
+		}
+		if len(meta.Finished) == l.K {
+			for i, f := range meta.Finished {
+				l.finished[i] = l.finished[i] || f
+			}
+		}
+		l.log.SeedSnapshots(meta.Snapshots)
+	}
+	l.replayed = res.ReplayedFrames
+	return nil
+}
+
+// hello settles a Hello handshake (see the assembling phase on Server);
+// a returned error is fatal.
+func (l *loop) hello(h helloReq) error {
+	site := h.Site
+	var err error
+	switch {
+	case l.phase != assembling:
+		l.reject(h.conn) // a running system shrugs off strays
+	case site >= 0 && site < l.K && l.finished[site]:
+		l.ackFinished(site, h.conn)
+	case site >= 0 && site < l.K && l.epoch[site] > 0:
+		l.reject(h.conn) // the slot's rejoined replacement already holds it
+	case site < 0 || site >= l.K || l.conns[site] != nil:
+		err = fmt.Errorf("tcp: serve handshake: unexpected %#v", h.Hello)
+	case h.K != l.K:
+		err = fmt.Errorf("tcp: site %d dialed with k=%d, server has k=%d", site, h.K, l.K)
+	case h.Config != l.Config:
+		err = fmt.Errorf(
+			"tcp: site %d dialed with configuration fingerprint %#x, server has %#x (mismatched problem/algorithm/ε?)",
+			site, h.Config, l.Config)
+	default:
+		l.register(site, h.conn)
+	}
+	if err != nil {
+		h.conn.Close()
+	}
+	return err
+}
+
+// rejoin settles a Rejoin handshake in any phase. A mis-shaped one is
+// rejected, never fatal. A finished site gets its completion ack. An open
+// slot — empty while assembling, dark after a loss — is resumed: a Resync
+// with the coordinator's round and the slot's last acknowledged arrival
+// count (control traffic, not charged), then the replay that brings a
+// fresh site machine to the current round (charged — recovery has a real
+// communication cost). On a fresh server during assembly all of that is
+// zero and the replay emits nothing.
+func (l *loop) rejoin(r rejoinReq) {
+	site := r.Site
+	switch {
+	case site < 0 || site >= l.K || r.K != l.K || r.Config != l.Config:
+		l.reject(r.conn)
+	case l.finished[site]:
+		l.ackFinished(site, r.conn)
+	case l.settled[site] || l.live[site]:
+		// The slot is not open: the site was declared lost, or a previous
+		// connection is still considered live (its reader has not reported
+		// the loss yet — the dialer retries and lands once it has).
+		l.reject(r.conn)
+	default:
+		l.epoch[site]++
+		l.Rejoins++
+		l.register(site, r.conn)
+		if frame, err := wire.AppendFrame(nil, wire.Resync{
+			Round: l.coordRound(), Arrivals: l.siteArrivals[site]}); err == nil {
+			r.conn.Write(frame) // a re-crash is caught by the reader
+		}
+		if rs, ok := l.Coord.(proto.Resyncer); ok {
+			rs.Resync(func(m proto.Message) { l.send(site, m) })
+			l.resyncs++
+		}
+	}
+}
+
+// register fills site's slot with conn; its reader starts with the run.
+func (l *loop) register(site int, conn net.Conn) {
+	if l.conns[site] == nil {
+		l.waiting--
+	}
+	l.conns[site] = conn
+	l.live[site] = true
+	l.liveCount++
+	if l.phase != assembling {
+		l.startReader(site, conn)
+	}
+}
+
+// ack writes the ResyncComplete completion ack carrying site's last
+// applied arrival count — the promise that its Done is durable, which a
+// reconnecting site's Close waits for. Reports whether it was written.
+func (l *loop) ack(site int, conn net.Conn) bool {
+	frame, err := wire.AppendFrame(nil, wire.Resync{
+		Round: wire.ResyncComplete, Arrivals: l.siteArrivals[site]})
+	if err == nil {
+		_, err = conn.Write(frame)
+	}
+	return err == nil
+}
+
+// ackFinished answers a finished site that redialed only because a
+// previous coordinator crashed before acknowledging its Done, and hangs up.
+func (l *loop) ackFinished(site int, conn net.Conn) {
+	if l.ack(site, conn) {
+		l.ackDelivered[site] = true
+	}
+	conn.Close()
+}
+
+// lose handles a connection lost before its Done: the slot goes dark. With
+// a rejoin window the run continues degraded and the slot waits; without
+// one the site is lost immediately (legacy behavior).
+func (l *loop) lose(site int) {
+	if l.settled[site] || !l.live[site] {
+		return // stale loss report for an already-settled slot
+	}
+	l.conns[site].Close() // release the dead descriptor now
+	l.live[site] = false
+	l.liveCount--
+	l.epoch[site]++
+	if l.RejoinWait <= 0 {
+		l.declareLost(site)
+		return
+	}
+	box, e := l.box, l.epoch[site]
+	time.AfterFunc(l.RejoinWait, func() { box.Put(rejoinTimeout{site: site, epoch: e}) })
+}
+
+func (l *loop) declareLost(site int) {
+	l.settled[site] = true
+	l.remaining--
+	l.lost++
+}
+
+// inspect runs an Inspect's fn on the loop, where no frame is
+// mid-application; while assembling there is no run to inspect.
+func (l *loop) inspect(req inspectReq) {
+	if l.phase == assembling {
+		req.done <- false
+		return
+	}
+	req.fn(l.metrics())
+	req.done <- true
+}
+
+// startReader feeds conn's frames to the loop. A reader keeps draining
+// past the site's Done frame: a finished site still answers round
+// broadcasts triggered by the other sites' traffic (e.g. the count
+// tracker's AdjustMsg re-randomization), and those protocol messages must
+// reach the coordinator. Readers exit only when their connection ends —
+// the site crashed (reported as a nil message) or Serve hung up.
+func (l *loop) startReader(i int, conn net.Conn) {
+	l.readers.Add(1)
+	box := l.box
+	go func() {
+		defer l.readers.Done()
+		doneSeen := false
+		var buf []byte
+		for {
+			m, b, err := wire.ReadFrame(conn, buf)
+			buf = b
+			if err != nil {
+				if !doneSeen {
+					box.Put(runtime.FromMsg{From: i, Msg: nil}) // site lost
+				}
+				return
+			}
+			if _, done := m.(wire.Done); done {
+				doneSeen = true
+			}
+			box.Put(runtime.FromMsg{From: i, Msg: m})
+		}
+	}()
+}
+
+// drain ends the Serve call whatever stopped the loop: it aborts and joins
+// the handshakes still in flight (so Rejects/Rejoins really are final when
+// Serve returns), acks and hangs up on the connected sites, collects the
+// readers, applies the frames still queued, and seals the store.
+func (l *loop) drain(stop error) (runtime.Metrics, error) {
+	// A handshake that contradicts the deployment, or a failed listener,
+	// ends the call before any run: nothing to ack, nothing to seal, and
+	// an empty ledger.
+	fatal := l.phase == assembling && stop != ErrShutdown && stop != ErrKilled
+	l.phase = draining
+	l.w.flush() // ship whatever the final event left pending
+	l.serving.Store(false)
+	l.hsMu.Lock()
+	for conn := range l.hsConns {
+		conn.Close()
+	}
+	l.hsConns = nil
+	l.hsMu.Unlock()
+	l.hsWG.Wait()
+	// On any orderly exit, ack each connected site before hanging up. With
+	// persistence the write-ahead log is synced first, so the ack never
+	// promises more than the store holds. A kill sends nothing: the missing
+	// ack is exactly what makes the sites redial the resumed coordinator.
+	graceful := stop != ErrKilled && !fatal
+	if graceful {
+		var err error
+		if l.log != nil {
+			err = l.log.Sync()
+		}
+		if err == nil {
+			for i, conn := range l.conns {
+				if conn != nil {
+					l.ack(i, conn)
+				}
+			}
+		} else if stop == nil {
+			stop = err
+		}
+	}
+	for _, conn := range l.conns {
 		if conn != nil {
 			conn.Close()
 		}
 	}
-	rg.Wait()
-	// Protocol messages that were already received but queued behind the
-	// final Done (e.g. a finished site's AdjustMsg reply to a late round
-	// broadcast) still belong to the run — feed them to the coordinator so
-	// the final state reflects everything the sites sent. The readers have
-	// exited, so closing the box lets Get drain without blocking; sends
-	// during the drain hit closed connections and are dropped, which is
-	// fine — the sites are gone.
-	box.Close()
-	for {
-		v, ok := box.Get()
-		if !ok {
-			break
-		}
-		cm, ok := v.(runtime.FromMsg)
-		if !ok {
-			if rj, isRejoin := v.(rejoinReq); isRejoin {
-				rj.conn.Close() // a rejoin that raced run end
-				atomic.AddInt64(&s.Rejects, 1)
-			}
-			if iq, isInspect := v.(inspectReq); isInspect {
-				// An inspection that raced run end still gets an answer; the
-				// frames drained so far are applied, the rest follow before
-				// loopDone closes.
-				iq.fn(s.metrics())
-				close(iq.done)
-			}
-			continue
-		}
-		if stopErr == ErrKilled {
-			continue // a killed coordinator loses its in-flight queue
-		}
-		switch cm.Msg.(type) {
-		case nil, wire.Done, wire.Progress, wire.Rejoin: // control events, already accounted
-		default:
-			if s.log != nil {
-				if err := s.log.Log(cm.From, cm.Msg); err != nil {
-					if stopErr == nil {
-						stopErr = err
-					}
-					continue // unloggable frames must not be applied
+	l.readers.Wait()
+	// Frames already received but queued behind the final event (e.g. a
+	// finished site's AdjustMsg reply to a late round broadcast) still
+	// belong to the run — unless the coordinator was killed, which loses
+	// its in-flight queue. The readers have exited, so closing the box
+	// lets Get drain without blocking; sends during the drain hit closed
+	// connections and are dropped, which is fine — the sites are gone.
+	l.box.Close()
+	for v, ok := l.box.Get(); ok; v, ok = l.box.Get() {
+		switch ev := v.(type) {
+		case helloReq:
+			l.reject(ev.conn)
+		case rejoinReq:
+			l.reject(ev.conn) // a rejoin that raced run end
+		case inspectReq:
+			l.inspect(ev) // answered; the rest follows before loopDone closes
+		case runtime.FromMsg:
+			if stop != ErrKilled && ev.Msg != nil {
+				if err := l.apply(ev.From, ev.Msg); err != nil && stop == nil {
+					stop = err
 				}
 			}
-			s.messagesUp++
-			s.wordsUp += int64(cm.Msg.Words())
-			s.Coord.Receive(cm.From, cm.Msg, send, broadcast)
 		}
 	}
 	// Seal the store on every exit except a simulated crash: a final
 	// snapshot and sync make it a clean resume point (and bound a future
 	// replay to zero frames). A kill leaves exactly the appended log, which
 	// is the point of the drill.
-	if s.log != nil && stopErr != ErrKilled {
-		if err := s.log.Snapshot(); err != nil {
-			if stopErr == nil {
-				stopErr = err
-			}
-		} else if err := s.log.Sync(); err != nil && stopErr == nil {
-			stopErr = err
+	if l.log != nil && graceful {
+		err := l.log.Snapshot()
+		if err == nil {
+			err = l.log.Sync()
+		}
+		if stop == nil {
+			stop = err
 		}
 	}
-	if stopErr != nil {
-		return s.metrics(), stopErr
+	if fatal {
+		return runtime.Metrics{}, stop
 	}
-	if lost > 0 {
-		return s.metrics(), fmt.Errorf(
-			"tcp: %d of %d sites disconnected before finishing; the final state is missing their data", lost, s.K)
+	if stop == nil && l.lost > 0 {
+		stop = fmt.Errorf(
+			"tcp: %d of %d sites disconnected before finishing; the final state is missing their data", l.lost, l.K)
 	}
-	return s.metrics(), nil
+	return l.metrics(), stop
 }
 
 func (s *Server) metrics() runtime.Metrics {

@@ -5,7 +5,9 @@
 # the acknowledged arrival total), curl every query endpoint asserting
 # the documented status codes — unsupported queries must 404, never 500 —
 # and require a parseable Prometheus exposition. Finishes with SIGINT and
-# expects the graceful drain to exit cleanly.
+# expects the graceful drain to exit cleanly. A second row boots a
+# distributed coordinator (`tracksim serve -k 2 -http`) that no site ever
+# dials: its probes must answer at once and SIGINT must stop it.
 #
 #   sh scripts/serve_smoke.sh [port]
 #
@@ -105,6 +107,54 @@ grep -q 'drained' "$DIR/serve.log" || {
     cat "$DIR/serve.log" >&2
     exit 1
 }
+SRV_PID=
+
+# Distributed row: a coordinator still waiting for its sites must answer
+# probes at once — healthz degraded (200), queries 503, disttrack_up 0 —
+# and SIGINT must stop it while it assembles.
+DIST_HTTP="127.0.0.1:$((PORT + 1))"
+"$BIN" serve -addr "127.0.0.1:$((PORT + 2))" -http "$DIST_HTTP" -k 2 \
+    >"$DIR/dist.log" 2>&1 &
+SRV_PID=$!
+i=0
+until curl -s --max-time 3 "http://$DIST_HTTP/v1/healthz" >"$DIR/health.json" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -ge 30 ]; then
+        echo "serve_smoke: assembling coordinator never answered /v1/healthz" >&2
+        cat "$DIR/dist.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+grep -q '"degraded"' "$DIR/health.json" || {
+    echo "serve_smoke: assembling healthz is not degraded: $(cat "$DIR/health.json")" >&2
+    exit 1
+}
+dcode() { curl -s --max-time 3 -o /dev/null -w '%{http_code}' "http://$DIST_HTTP$1" || true; }
+expect 200 "$(dcode /v1/healthz)" "assembling healthz"
+expect 503 "$(dcode /v1/count)" "assembling count"
+curl -s --max-time 3 "http://$DIST_HTTP/metrics" >"$DIR/dist_metrics.txt" || true
+grep -q '^disttrack_up 0$' "$DIR/dist_metrics.txt" || {
+    echo "serve_smoke: disttrack_up 0 missing from the assembling coordinator's /metrics" >&2
+    exit 1
+}
+kill -INT "$SRV_PID"
+i=0
+while kill -0 "$SRV_PID" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -ge 50 ]; then
+        echo "serve_smoke: assembling coordinator still running 5s after SIGINT" >&2
+        cat "$DIR/dist.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+wait "$SRV_PID" && RC=0 || RC=$?
+if [ "$RC" -ne 0 ]; then
+    echo "serve_smoke: assembling coordinator exited $RC after SIGINT" >&2
+    cat "$DIR/dist.log" >&2
+    exit 1
+fi
 SRV_PID=
 
 echo "serve_smoke: OK"
