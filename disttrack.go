@@ -43,8 +43,8 @@
 //
 //   - TransportSequential (default): everything runs inline on the calling
 //     goroutine with exact, deterministic cost accounting;
-//   - TransportGoroutine: one goroutine per site plus one for the
-//     coordinator, connected by mailboxes;
+//   - TransportGoroutine: one goroutine per site fed by a mailbox; the
+//     coordinator runs on whichever goroutine delivers to it;
 //   - TransportTCP: one loopback TCP connection per site; every protocol
 //     message crosses the kernel as a length-prefixed frame carrying its
 //     binary wire encoding (internal/wire).
@@ -109,8 +109,9 @@ const (
 	// TransportSequential runs everything inline on the calling goroutine:
 	// the deterministic exact-accounting reference (internal/sim).
 	TransportSequential Transport = iota
-	// TransportGoroutine runs each site and the coordinator as goroutines
-	// connected by mailboxes (internal/netsim).
+	// TransportGoroutine runs each site as a goroutine fed by a mailbox; the
+	// coordinator runs on whichever goroutine delivers to it, under one
+	// mutex (internal/netsim).
 	TransportGoroutine
 	// TransportTCP connects each site to the coordinator over a loopback
 	// TCP socket carrying wire-encoded message frames (internal/runtime).
@@ -589,7 +590,7 @@ func (c *core) persist(coord proto.Coordinator, setLog func(func(from int, m pro
 	c.log = persist.NewLogger(c.opt.Persist, coord, int64(c.opt.SnapshotEvery), nil)
 	setLog(func(from int, msg proto.Message) {
 		if err := c.log.Log(from, msg); err != nil {
-			panic(fmt.Sprintf("disttrack: write-ahead log: %v", err))
+			panic(fmt.Errorf("disttrack: write-ahead log: %w", err))
 		}
 	})
 }

@@ -281,14 +281,19 @@ func (f *Frontend) fail(err error) {
 
 // feedOne feeds one staged run through the transport, converting a
 // transport panic — Arrive on a transport that was closed out from under
-// the frontend mid-run — into the terminal error instead of crashing the
-// process from a background goroutine (or, before the runtime grew its
-// use-after-close guard, deadlocking on in-flight accounting no loop would
-// ever retire).
+// the frontend mid-run, or the coordinator failure a fabric raises — into
+// the terminal error (wrapping the panic value when it is an error)
+// instead of crashing the process from a background goroutine (or, before
+// the runtime grew its use-after-close guard, deadlocking on in-flight
+// accounting no loop would ever retire).
 func (f *Frontend) feedOne(site int, r run) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
-			f.fail(fmt.Errorf("ingest: transport failed underneath the drainer: %v", p))
+			err, ok := p.(error)
+			if !ok {
+				err = fmt.Errorf("%v", p)
+			}
+			f.fail(fmt.Errorf("ingest: transport failed underneath the drainer: %w", err))
 		}
 	}()
 	f.feedMu.Lock()

@@ -1,12 +1,13 @@
 // Package netsim runs a tracking protocol as a genuinely concurrent system:
-// one goroutine per site plus one for the coordinator, connected by
-// unbounded mailboxes. It preserves the paper's instant-communication model
-// by counting in-flight work: an element is only injected after the previous
-// cascade has fully quiesced. Cluster implements the runtime.Transport seam
-// (the goroutine transport behind disttrack.TransportGoroutine); the
-// injection, quiescence, accounting, and space-probing machinery is the
-// shared runtime.Fabric, so this package only supplies the goroutine
-// message delivery.
+// one goroutine per site fed by an unbounded mailbox, while the coordinator
+// runs on whichever goroutine delivers to it (the injector or a site loop)
+// under the fabric's coordinator mutex. It preserves the paper's
+// instant-communication model by counting in-flight work: an element is
+// only injected after the previous cascade has fully quiesced. Cluster
+// implements the runtime.Transport seam (the goroutine transport behind
+// disttrack.TransportGoroutine); the injection, quiescence, accounting, and
+// space-probing machinery is the shared runtime.Fabric, so this package only
+// supplies the goroutine message delivery.
 //
 // The protocols themselves are the same passive state machines that
 // internal/sim drives sequentially; netsim exists to demonstrate (and test,
@@ -35,11 +36,9 @@ func Start(p proto.Protocol) *Cluster {
 	c := &Cluster{Fabric: runtime.NewFabric(p)}
 	for i := range p.Sites {
 		i := i
-		// Site delivery enqueues on the coordinator mailbox; no flush hook —
-		// a mailbox put is already visible, there is nothing to coalesce.
-		c.BindSite(i, func(m proto.Message) {
-			c.CoordBox.Put(runtime.FromMsg{From: i, Msg: m})
-		}, nil)
+		// Site delivery applies the message to the coordinator inline; no
+		// flush hook — there is nothing to coalesce.
+		c.BindSite(i, func(m proto.Message) { c.DeliverUp(i, m) }, nil)
 	}
 	c.BindCoord(func(to int, m proto.Message) {
 		c.SiteBoxes[to].Put(m)
@@ -48,8 +47,6 @@ func Start(p proto.Protocol) *Cluster {
 		c.wg.Add(1)
 		go c.siteLoop(i)
 	}
-	c.wg.Add(1)
-	go c.coordLoop()
 	return c
 }
 
@@ -58,12 +55,6 @@ func Start(p proto.Protocol) *Cluster {
 func (c *Cluster) siteLoop(i int) {
 	defer c.wg.Done()
 	c.RunSiteLoop(i)
-}
-
-// coordLoop runs the coordinator machine.
-func (c *Cluster) coordLoop() {
-	defer c.wg.Done()
-	c.RunCoordLoop()
 }
 
 // Stop shuts down all goroutines. The cluster must be quiescent.

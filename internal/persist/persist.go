@@ -53,8 +53,9 @@ import (
 // recovery point, never observed half-updated. Load returns the current
 // snapshot (nil if none) and the log bytes. Sync flushes buffered state to
 // stable storage (a no-op for memory stores). Implementations are not safe
-// for concurrent use; the hosting transport's coordinator loop is the only
-// writer. The byte slices passed to AppendWAL and WriteSnapshot are valid
+// for concurrent use; the host serializes every write (the fabric's
+// coordinator mutex in-process, tcp.Server's event loop in distributed
+// mode). The byte slices passed to AppendWAL and WriteSnapshot are valid
 // only for the duration of the call (the Logger reuses its build buffer);
 // implementations copy what they retain.
 type Store interface {
@@ -85,8 +86,9 @@ const DefaultEvery = 4096
 
 // Logger write-ahead-logs coordinator-bound frames into a Store and
 // periodically compacts the log into a snapshot. One Logger serves one
-// coordinator; calls are made from the transport's coordinator loop, never
-// concurrently.
+// coordinator; calls are serialized with the coordinator's own delivery
+// (under the fabric's coordinator mutex, or on tcp.Server's event loop),
+// never concurrent.
 type Logger struct {
 	store Store
 	coord proto.Coordinator
@@ -95,7 +97,7 @@ type Logger struct {
 	since int64 // frames appended since the last snapshot
 	// count is the number of snapshots taken over the store's lifetime
 	// (seeded on resume). Atomic: Snapshots() is read from serving/query
-	// goroutines while the owning loop is mid-Snapshot.
+	// goroutines while the coordinator's host is mid-Snapshot.
 	count atomic.Int64
 	// meta, when set, supplies the host's cost ledger for snapshot headers
 	// (the distributed server resumes its Resync bookkeeping from it).

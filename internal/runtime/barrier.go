@@ -45,6 +45,10 @@ type Barrier struct {
 	// reports whether it unparked anything (progress). Called from the
 	// settling goroutine only, at a no-active-work instant.
 	onIdle func(full bool) bool
+
+	// aborted, set by Abort, stops Settle from waiting: the fabric failed
+	// and tokens it still counts may never retire.
+	aborted atomic.Bool
 }
 
 func (b *Barrier) init() {
@@ -91,6 +95,15 @@ func (b *Barrier) Unpark() {
 	}
 }
 
+// Abort makes every Settle, the one in progress included, return without
+// waiting for the remaining tokens: the fabric failed (Fabric.DeliverUp
+// recorded a coordinator-path panic) and the feeding goroutine must wake to
+// raise it instead of settling traffic nothing will ever retire.
+func (b *Barrier) Abort() {
+	b.aborted.Store(true)
+	b.signalIfZero(0) // wake the settler
+}
+
 // SetOnIdle installs the middleware release hook. Install before the first
 // arrival.
 func (b *Barrier) SetOnIdle(fn func(full bool) bool) { b.onIdle = fn }
@@ -102,10 +115,10 @@ func (b *Barrier) SetOnIdle(fn func(full bool) bool) { b.onIdle = fn }
 // re-checks the count after every receive).
 func (b *Barrier) Settle(full bool) {
 	for {
-		for b.active.Load() != 0 {
+		for b.active.Load() != 0 && !b.aborted.Load() {
 			<-b.sem
 		}
-		if b.parked.Load() == 0 || b.onIdle == nil {
+		if b.parked.Load() == 0 || b.onIdle == nil || b.aborted.Load() {
 			return
 		}
 		if !b.onIdle(full) {

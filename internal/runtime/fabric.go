@@ -126,26 +126,11 @@ func (mb *Mailbox) Close() {
 	mb.cond.Broadcast()
 }
 
-// FromMsg is a site->coordinator protocol message with its sender.
+// FromMsg is a site->coordinator protocol message with its sender, as
+// tcp.Server's event loop queues it.
 type FromMsg struct {
 	From int
 	Msg  proto.Message
-}
-
-// HeldUp asks site From's loop to deliver a message the fault middleware
-// held and has now released. The loop delivers it without re-counting cost
-// (the original send was already charged) and without retiring a token:
-// the message's token, unparked by the middleware, stays active until the
-// coordinator loop processes the delivery.
-type HeldUp struct {
-	Msg proto.Message
-}
-
-// HeldDown asks the coordinator loop to deliver a held coordinator->site
-// message the fault middleware released (see HeldUp).
-type HeldDown struct {
-	To  int
-	Msg proto.Message
 }
 
 // Middleware intercepts every protocol message a Fabric-based transport
@@ -155,13 +140,13 @@ type HeldDown struct {
 //
 // Per-link calls are serial: Up(i, ...) runs under site i's injection mutex
 // (the injecting goroutine for arrival-triggered sends, site i's loop for
-// receive-triggered ones — never both at once), Down always on the
-// coordinator loop. To deliver immediately the middleware calls deliver; to
-// hold the message it queues the frame internally and parks its in-flight
-// token (Fabric.Inflight.Park), then releases later from Release (the
-// barrier's idle hook) by unparking the token and re-injecting through the
-// owning loop's mailbox (Fabric.ReleaseUp/ReleaseDown). Once the fabric is
-// Closed, nothing may be released — the loops that would carry it are gone
+// receive-triggered ones — never both at once), Down under the coordinator
+// mutex. To deliver immediately the middleware calls deliver; to hold the
+// message it queues the frame internally and parks its in-flight token
+// (Fabric.Inflight.Park), then releases later from Release (the barrier's
+// idle hook) by unparking the token and delivering under the link's owning
+// mutex (Fabric.ReleaseUp/ReleaseDown). Once the fabric is Closed, nothing
+// may be released — the site loops and sockets that would carry it are gone
 // (check Fabric.Closed).
 type Middleware interface {
 	// Up intercepts a site->coordinator message already charged to the
@@ -185,8 +170,9 @@ type Middleware interface {
 // mailboxes, the in-flight counter that realizes the instant-communication
 // quiescence barrier, the cost ledger, and quiesce-time space probing. A
 // transport embeds *Fabric, registers its per-site and coordinator delivery
-// (and optional flush) hooks with BindSite/BindCoord, launches its own
-// loops (RunSiteLoop/RunCoordLoop), and brackets every message it carries
+// (and optional flush) hooks with BindSite/BindCoord, launches its site
+// loops (RunSiteLoop), hands every site->coordinator message that reaches
+// the coordinator's end to DeliverUp, and brackets every message it carries
 // with CountUp/CountDown so Arrive's barrier covers it.
 //
 // Arrivals take the zero-hop fast path: Arrive runs the site machine on the
@@ -197,6 +183,13 @@ type Middleware interface {
 // serializes access to the site machine (the socket transports have no
 // other happens-before edge between the injector and the site loop) and
 // keeps per-link middleware/tap calls serial.
+//
+// The coordinator has no goroutine of its own: it runs on whichever
+// goroutine delivers to it (the injector or a site loop on the goroutine
+// transport, a connection reader on TCP), under coordMu. Lock order is site
+// mutex -> coordMu, never the reverse: a coordinator send only enqueues (a
+// site-mailbox Put or a frame append), so nothing under coordMu waits for
+// a site mutex and no cycle exists.
 type Fabric struct {
 	p proto.Protocol
 
@@ -207,16 +200,13 @@ type Fabric struct {
 	// every handler).
 	SpaceProbeEvery int
 
-	// SiteBoxes[i] feeds site i's loop: a proto.Message from the
-	// coordinator or a fault-released *HeldUp. CoordBox feeds the
-	// coordinator loop with FromMsg values and fault-released *HeldDown.
+	// SiteBoxes[i] feeds site i's loop with coordinator messages.
 	SiteBoxes []*Mailbox
-	CoordBox  *Mailbox
 
-	// Inflight counts injected arrivals and undelivered messages;
-	// transports' loops call Inflight.Done() after handling each. Messages
-	// held inside the fault middleware park their token instead (see
-	// Barrier).
+	// Inflight counts injected arrivals and undelivered messages; site
+	// loops and DeliverUp call Inflight.Done() after handling each.
+	// Messages held inside the fault middleware park their token instead
+	// (see Barrier).
 	Inflight Barrier
 
 	tap Tap
@@ -236,24 +226,31 @@ type Fabric struct {
 	siteDeliver []func(m proto.Message)
 	siteFlush   []func()
 
-	// Coordinator send path, built by BindCoord (used by RunCoordLoop
-	// only — the coordinator machine never runs inline).
+	// coordMu serializes the coordinator machine, its send path (and so its
+	// middleware links and the transport's coordinator-side buffers) and
+	// coordLog across every goroutine that delivers to it.
+	coordMu sync.Mutex
+
+	// Coordinator send path, built by BindCoord, run under coordMu.
 	coordSend      func(to int, m proto.Message)
 	coordCast      func(m proto.Message)
 	coordDeliverTo []func(m proto.Message)
 	coordFlush     func()
 
 	// coordLog, when set, observes every coordinator-bound protocol
-	// message on the coordinator loop immediately before the coordinator
-	// applies it — the durability layer's write-ahead hook (it must panic
-	// or abort on failure; a frame applied but not logged would be lost by
-	// recovery). Nil costs one predictable branch on the delivery path.
+	// message under coordMu immediately before the coordinator applies it
+	// — the durability layer's write-ahead hook (it must panic or abort on
+	// failure; a frame applied but not logged would be lost by recovery).
+	// Nil costs one predictable branch on the delivery path.
 	coordLog func(from int, m proto.Message)
 
 	// closed flips when CloseBoxes runs, turning use-after-Close from a
 	// silent in-flight-accounting deadlock into a loud panic (which the
-	// ingest frontend converts into a terminal error).
-	closed atomic.Bool
+	// ingest frontend converts into a terminal error). failure holds the
+	// value a panic on the coordinator path left behind (see DeliverUp);
+	// the feeding goroutine raises it the same way.
+	closed  atomic.Bool
+	failure atomic.Pointer[any]
 
 	messagesUp, messagesDown int64
 	wordsUp, wordsDown       int64
@@ -276,7 +273,6 @@ func NewFabric(p proto.Protocol) *Fabric {
 		p:               p,
 		SpaceProbeEvery: 1024,
 		SiteBoxes:       make([]*Mailbox, k),
-		CoordBox:        NewMailbox(),
 		siteMu:          make([]sync.Mutex, k),
 		siteOut:         make([]func(m proto.Message), k),
 		siteDeliver:     make([]func(m proto.Message), k),
@@ -293,8 +289,8 @@ func NewFabric(p proto.Protocol) *Fabric {
 func (f *Fabric) Protocol() proto.Protocol { return f.p }
 
 // BindSite registers site i's transport delivery hook (carry one emitted
-// message to the coordinator: enqueue on the coordinator mailbox, encode a
-// frame, ...) and an optional flush hook marking the transport's coalescing
+// message to the coordinator: DeliverUp it, encode a frame, ...) and an
+// optional flush hook marking the transport's coalescing
 // boundary — flush runs under site i's mutex after every inline injection
 // and after every delivered mailbox batch, so buffered frames are always on
 // the wire before the fabric settles or the loop blocks. Bind before the
@@ -313,9 +309,9 @@ func (f *Fabric) BindSite(i int, deliver func(m proto.Message), flush func()) {
 }
 
 // BindCoord registers the coordinator's transport delivery hook (carry one
-// message to one site) and an optional flush hook, called on the
-// coordinator loop after every delivered batch. Bind before the first
-// arrival.
+// message to one site; it must only enqueue — see the lock order in the
+// Fabric doc) and an optional flush hook, called under coordMu after every
+// applied message. Bind before the first arrival.
 func (f *Fabric) BindCoord(deliver func(to int, m proto.Message), flush func()) {
 	f.coordFlush = flush
 	// One bound closure per destination, so the middleware path doesn't
@@ -370,27 +366,37 @@ func (f *Fabric) ChargeDown(msgs, words int64) {
 	atomic.AddInt64(&f.wordsDown, words)
 }
 
-// ReleaseUp re-injects a held site->coordinator message through site from's
-// loop, which will deliver it under the site's mutex (so the link's
-// delivery resources stay serialized). The caller must have unparked the
-// message's token first.
+// ReleaseUp delivers a held site->coordinator message on the calling
+// goroutine under site from's mutex, so the link's delivery resources (a
+// pending frame buffer) stay serialized, and flushes the link. The caller
+// must have unparked the message's token first; the delivery retires it
+// without re-counting cost (the original send was already charged).
 func (f *Fabric) ReleaseUp(from int, m proto.Message) {
-	f.SiteBoxes[from].Put(&HeldUp{Msg: m})
+	f.inject(from, func(func(proto.Message)) int64 {
+		f.siteDeliver[from](m)
+		return 0
+	})
 }
 
-// ReleaseDown re-injects a held coordinator->site message through the
-// coordinator loop (see ReleaseUp).
+// ReleaseDown delivers a held coordinator->site message under coordMu (see
+// ReleaseUp); site to's loop retires its token.
 func (f *Fabric) ReleaseDown(to int, m proto.Message) {
-	f.CoordBox.Put(&HeldDown{To: to, Msg: m})
+	f.coordMu.Lock()
+	defer f.coordMu.Unlock()
+	f.coordDeliverTo[to](m)
+	if f.coordFlush != nil {
+		f.coordFlush()
+	}
 }
 
 // Arrivals returns the number of arrivals injected so far (the fault
 // plan's clock).
 func (f *Fabric) Arrivals() int64 { return atomic.LoadInt64(&f.arrivals) }
 
-// Closed reports whether CloseBoxes has run: the loops are gone, so held
-// traffic can no longer be released (the middleware must stop releasing,
-// or the re-injected tokens would never retire and Quiesce would hang).
+// Closed reports whether CloseBoxes has run: the site loops are gone, so
+// held traffic can no longer be released (the middleware must stop
+// releasing, or the released tokens would never retire and Quiesce would
+// hang).
 func (f *Fabric) Closed() bool { return f.closed.Load() }
 
 // CountUp brackets one site->coordinator message: in-flight token, ledger,
@@ -447,6 +453,7 @@ func (f *Fabric) Arrive(site int, item int64, value float64) {
 	if f.closed.Load() {
 		panic("runtime: transport used after Close")
 	}
+	f.raise()
 	n := atomic.AddInt64(&f.arrivals, 1)
 	f.Inflight.Add(1)
 	f.inject(site, func(out func(proto.Message)) int64 {
@@ -455,6 +462,7 @@ func (f *Fabric) Arrive(site int, item int64, value float64) {
 	})
 	f.Inflight.Done()
 	f.Inflight.Settle(false)
+	f.raise()
 	if f.SpaceProbeEvery > 0 && n%int64(f.SpaceProbeEvery) == 0 {
 		f.Probe()
 	}
@@ -469,6 +477,7 @@ func (f *Fabric) ArriveBatch(site int, item int64, value float64, count int64) {
 	if f.closed.Load() {
 		panic("runtime: transport used after Close")
 	}
+	f.raise()
 	every := int64(f.SpaceProbeEvery)
 	s := f.p.Sites[site]
 	for count > 0 {
@@ -478,6 +487,7 @@ func (f *Fabric) ArriveBatch(site int, item int64, value float64, count int64) {
 		})
 		f.Inflight.Done()
 		f.Inflight.Settle(false)
+		f.raise()
 		n := atomic.AddInt64(&f.arrivals, consumed)
 		count -= consumed
 		if every > 0 && n%every < consumed {
@@ -486,16 +496,24 @@ func (f *Fabric) ArriveBatch(site int, item int64, value float64, count int64) {
 	}
 }
 
+// raise panics with the failure a coordinator-path panic left behind (see
+// DeliverUp), if any — the ingest frontend turns it into a terminal error,
+// as it does the use-after-Close panic.
+func (f *Fabric) raise() {
+	if p := f.failure.Load(); p != nil {
+		panic(*p)
+	}
+}
+
 // RunSiteLoop runs site i's delivery loop on the calling goroutine until
-// the site's mailbox closes: it drains coordinator messages and
-// fault-released frames in batches (one wakeup per run), handles each under
-// the site's mutex, and flushes the transport's pending frames at the
-// batch edge — the coalescing boundary — before blocking again.
+// the site's mailbox closes: it drains coordinator messages in batches (one
+// wakeup per run), handles each under the site's mutex, and flushes the
+// transport's pending frames at the batch edge — the coalescing boundary —
+// before blocking again.
 func (f *Fabric) RunSiteLoop(i int) {
 	site := f.p.Sites[i]
 	box := f.SiteBoxes[i]
 	out := f.siteOut[i]
-	deliver := f.siteDeliver[i]
 	flush := f.siteFlush[i]
 	mu := &f.siteMu[i]
 	var batch []any
@@ -508,16 +526,7 @@ func (f *Fabric) RunSiteLoop(i int) {
 		mu.Lock()
 		for j, v := range batch {
 			batch[j] = nil // drop the reference for the GC
-			switch msg := v.(type) {
-			case *HeldUp:
-				// A fault-released message: already charged, token already
-				// unparked and traveling with the delivery — the receiving
-				// loop retires it, not this one.
-				deliver(msg.Msg)
-				continue
-			case proto.Message:
-				site.Receive(msg, out)
-			}
+			site.Receive(v.(proto.Message), out)
 			f.Inflight.Done()
 		}
 		if flush != nil {
@@ -527,46 +536,51 @@ func (f *Fabric) RunSiteLoop(i int) {
 	}
 }
 
-// RunCoordLoop runs the coordinator machine on the calling goroutine until
-// the coordinator mailbox closes, draining FromMsg values in batches.
-// Sends and broadcasts are bracketed with CountDown/CountBroadcast and
-// routed through the BindCoord delivery hook; the flush hook runs at every
-// batch edge.
-func (f *Fabric) RunCoordLoop() {
-	var batch []any
-	for {
-		var ok bool
-		batch, ok = f.CoordBox.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		for j, v := range batch {
-			batch[j] = nil // drop the reference for the GC
-			switch cm := v.(type) {
-			case *HeldDown:
-				// A fault-released message; see RunSiteLoop's *HeldUp case.
-				f.coordDeliverTo[cm.To](cm.Msg)
-				continue
-			case FromMsg:
-				if f.coordLog != nil {
-					f.coordLog(cm.From, cm.Msg)
-				}
-				f.p.Coord.Receive(cm.From, cm.Msg, f.coordSend, f.coordCast)
-			}
-			f.Inflight.Done()
-		}
-		if f.coordFlush != nil {
-			f.coordFlush()
-		}
+// DeliverUp applies one site->coordinator message on the calling goroutine:
+// under coordMu it runs the write-ahead hook, the coordinator machine (its
+// sends and broadcasts bracketed with CountDown/CountBroadcast and routed
+// through the BindCoord hook) and the coordinator flush, then retires the
+// message's token. Per-link order is the caller's: a transport delivers
+// each link's messages in emission order.
+func (f *Fabric) DeliverUp(from int, m proto.Message) {
+	f.coordMu.Lock()
+	defer f.exitCoord()
+	if f.failure.Load() != nil {
+		return // the coordinator failed: nothing is applied any more
 	}
+	if f.coordLog != nil {
+		f.coordLog(from, m)
+	}
+	f.p.Coord.Receive(from, m, f.coordSend, f.coordCast)
+	if f.coordFlush != nil {
+		f.coordFlush()
+	}
+}
+
+// exitCoord ends a DeliverUp. A panic on the coordinator path — a failed
+// write-ahead append, a broken socket — must not unwind through the
+// delivering goroutine, which may hold a site mutex (inline delivery) or
+// be a transport reader: it is recorded as the fabric's failure and the
+// barrier is aborted, so the settling goroutine wakes and raises it.
+func (f *Fabric) exitCoord() {
+	if p := recover(); p != nil {
+		cause := p // declared here so only a failure moves it to the heap
+		f.failure.Store(&cause)
+		f.Inflight.Abort()
+	}
+	f.coordMu.Unlock()
+	f.Inflight.Done()
 }
 
 // Quiesce implements Transport: the full barrier. Under fault middleware it
 // also settles delayed traffic that has not yet come due — a query forces
 // the reliability layer to deliver everything it can — while traffic held
 // behind a live partition stays in flight (the degraded view a partition
-// inflicts).
-func (f *Fabric) Quiesce() { f.Inflight.Settle(true) }
+// inflicts). A failed fabric panics with its failure instead (see raise).
+func (f *Fabric) Quiesce() {
+	f.Inflight.Settle(true)
+	f.raise()
+}
 
 // Probe implements Transport. The fabric must be quiescent: the in-flight
 // barrier then orders this read after every handler that touched protocol
@@ -588,9 +602,9 @@ func (f *Fabric) Probe() {
 // concurrently). Install before the first arrival.
 func (f *Fabric) SetTap(t Tap) { f.tap = t }
 
-// SetCoordLog installs the durability layer's write-ahead hook: fn runs on
-// the coordinator loop for every coordinator-bound protocol message, just
-// before the coordinator applies it. Install before the first arrival; a
+// SetCoordLog installs the durability layer's write-ahead hook: fn runs
+// under coordMu for every coordinator-bound protocol message, just before
+// the coordinator applies it. Install before the first arrival; a
 // nil fn removes it.
 func (f *Fabric) SetCoordLog(fn func(from int, m proto.Message)) { f.coordLog = fn }
 
@@ -627,7 +641,7 @@ func (f *Fabric) Metrics() Metrics {
 	}
 }
 
-// CloseBoxes closes every mailbox, releasing the transport's loops, and
+// CloseBoxes closes every mailbox, releasing the transport's site loops, and
 // marks the fabric closed so later injections panic instead of hanging on
 // in-flight accounting no loop will ever retire.
 func (f *Fabric) CloseBoxes() {
@@ -635,5 +649,4 @@ func (f *Fabric) CloseBoxes() {
 	for _, mb := range f.SiteBoxes {
 		mb.Close()
 	}
-	f.CoordBox.Close()
 }

@@ -262,7 +262,8 @@ func (inj *Injector) intercept(l *link, site int, up bool, m proto.Message, deli
 	l.push(h)
 	inj.f.Inflight.Park()
 	// Bound the queue: overflow delivers the oldest deliverable frame now.
-	// We are on the owning loop's goroutine, so direct delivery is safe.
+	// The caller holds the link's owning mutex (the site's for up, the
+	// coordinator's for down), so direct delivery is safe.
 	var evict proto.Message
 	if l.len() > inj.plan.MaxHeld && !l.q[l.head].part {
 		evict = l.pop().m
@@ -284,16 +285,17 @@ func (inj *Injector) Down(to int, m proto.Message, deliver func(proto.Message)) 
 	inj.intercept(&inj.down[to], to, false, m, deliver)
 }
 
-// releaseLink re-injects one link's head frame through the owning loop if
-// it is deliverable. Only the head is considered: FIFO within a link is
+// releaseLink delivers one link's head frame under the link's owning mutex
+// if it is deliverable. Only the head is considered: FIFO within a link is
 // the reliability sublayer's promise, so a due frame never jumps a held
 // earlier one.
 func (inj *Injector) releaseLink(l *link, site int, up bool, full bool) bool {
 	if inj.f.Closed() {
-		// The loops are gone; a released frame would be re-injected into a
-		// closed mailbox nobody reads and its token would never retire,
-		// hanging every later Quiesce. Held residue stays held — queries
-		// after Close read the state as of Close.
+		// The site loops and sockets are gone; a released frame would land
+		// in a closed mailbox nobody reads or on a closed connection, and
+		// its token would never retire, hanging every later Quiesce. Held
+		// residue stays held — queries after Close read the state as of
+		// Close.
 		return false
 	}
 	n := inj.f.Arrivals()
@@ -333,9 +335,11 @@ func (inj *Injector) releaseLink(l *link, site int, up bool, full bool) bool {
 // releases at most ONE frame per call; the barrier then settles that
 // frame's whole cascade before asking again. One at a time is what keeps
 // per-link FIFO airtight: a release happens at a no-active-work instant,
-// so the owning loop's mailbox holds nothing but the released frame and
-// delivers it before processing anything the cascade adds later — a
-// cascade reply on the same link can therefore never overtake it.
+// so nothing else is moving on the link, and the release hands the frame
+// to the link's delivery (applied to the coordinator, put in the site's
+// mailbox, or written to the socket) before Release returns — anything
+// the cascade adds to the same link later queues behind it and can never
+// overtake it.
 func (inj *Injector) Release(full bool) bool {
 	for i := 0; i < inj.k; i++ {
 		if inj.releaseLink(&inj.up[i], i, true, full) {

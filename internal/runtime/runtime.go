@@ -13,7 +13,10 @@
 // an arrival is injected only after the previous cascade has fully
 // quiesced, so for a fixed seed the per-link message sequences, the cost
 // Metrics, and every query answer are identical on every transport (the
-// transport-independence test in the root package enforces this).
+// transport-independence test in the root package enforces this). The two
+// concurrent transports share Fabric; their coordinator has no goroutine of
+// its own — Fabric.DeliverUp applies each site message on the goroutine
+// that delivers it, under one coordinator mutex.
 //
 // The Runtime wrapper owns the choreography the facade needs — quiesce
 // before reading metrics, probe space high-water marks at quiescent

@@ -19,14 +19,15 @@ import (
 )
 
 // Loopback hosts one protocol over real sockets: one goroutine per site
-// machine plus one for the coordinator, each site connected to the
-// coordinator by its own TCP connection on the loopback interface. Every
-// protocol message crosses the kernel as a length-prefixed frame carrying
-// its wire encoding (internal/wire), so this transport exercises the full
-// encode -> socket -> decode path while still enforcing the paper's
-// instant-communication model: the embedded runtime.Fabric brackets every
-// frame from send to handler completion with its in-flight counter, and
-// Arrive blocks until the cascade has quiesced.
+// machine, each site connected to the coordinator by its own TCP connection
+// on the loopback interface, and the coordinator machine run by whichever
+// connection reader decoded a frame for it, under the fabric's coordinator
+// mutex. Every protocol message crosses the kernel as a length-prefixed
+// frame carrying its wire encoding (internal/wire), so this transport
+// exercises the full encode -> socket -> decode path while still enforcing
+// the paper's instant-communication model: the embedded runtime.Fabric
+// brackets every frame from send to handler completion with its in-flight
+// counter, and Arrive blocks until the cascade has quiesced.
 //
 // For a fixed seed the protocol behaves identically to the sequential and
 // goroutine transports — same per-link message sequences, same Metrics,
@@ -42,8 +43,8 @@ type Loopback struct {
 	// syscall at each flush boundary. sitePend[i] is guarded by the
 	// fabric's per-site injection mutex (appended by the inline injector
 	// or site i's loop, flushed by the fabric's flush hook under the same
-	// mutex); coordPend/coordDirty are only touched by the coordinator
-	// loop.
+	// mutex); coordPend/coordDirty are guarded by the fabric's coordinator
+	// mutex.
 	sitePend   [][]byte
 	coordPend  [][]byte
 	coordDirty []int
@@ -54,8 +55,8 @@ type Loopback struct {
 
 // StartLoopback mounts the protocol on a fresh loopback TCP fabric: it
 // listens on an ephemeral 127.0.0.1 port, dials one connection per site,
-// completes the Hello handshake on each, and launches the site and
-// coordinator loops.
+// completes the Hello handshake on each, and launches the site loops and
+// the connection readers.
 func StartLoopback(p proto.Protocol) (*Loopback, error) {
 	k := p.K()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -155,8 +156,9 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 			})
 	}
 	// Coordinator sends coalesce per destination connection; the flush hook
-	// runs at the coordinator loop's batch edges and walks only the dirty
-	// connections.
+	// runs after every applied message and walks only the dirty
+	// connections. Its writes never wait on a lock: the site readers that
+	// drain those sockets only put into mailboxes.
 	c.BindCoord(
 		func(to int, m proto.Message) {
 			if len(c.coordPend[to]) == 0 {
@@ -184,8 +186,6 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 		go c.siteReader(i)
 		go c.coordReader(i)
 	}
-	c.wg.Add(1)
-	go c.coordLoop()
 	return c, nil
 }
 
@@ -226,7 +226,8 @@ func (c *Loopback) siteReader(i int) {
 	}
 }
 
-// coordReader decodes site i's frames into the coordinator mailbox.
+// coordReader decodes site i's frames and applies each to the coordinator
+// on this goroutine (Fabric.DeliverUp), in the link's frame order.
 func (c *Loopback) coordReader(i int) {
 	defer c.wg.Done()
 	conn := c.coordConns[i]
@@ -241,16 +242,8 @@ func (c *Loopback) coordReader(i int) {
 			c.fail("coord read", err)
 			return
 		}
-		c.CoordBox.Put(runtime.FromMsg{From: i, Msg: m})
+		c.DeliverUp(i, m)
 	}
-}
-
-// coordLoop runs the coordinator machine via the shared fabric loop;
-// outbound frames coalesce per destination until the batch-edge flush (see
-// StartLoopback's BindCoord hooks).
-func (c *Loopback) coordLoop() {
-	defer c.wg.Done()
-	c.RunCoordLoop()
 }
 
 func (c *Loopback) closeConns() {

@@ -239,11 +239,15 @@ func AppendFrame(buf []byte, m proto.Message) ([]byte, error) {
 // io.ErrUnexpectedEOF, which callers must treat as corruption, not
 // shutdown.
 func ReadFrame(r io.Reader, buf []byte) (proto.Message, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The length prefix is read into buf itself: a local array would
+	// escape through the io.Reader call and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 64)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, buf, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(buf[:4])
 	if n > MaxFrame {
 		return nil, buf, fmt.Errorf("wire: frame length %d exceeds MaxFrame", n)
 	}
