@@ -43,14 +43,15 @@
 //
 //   - TransportSequential (default): everything runs inline on the calling
 //     goroutine with exact, deterministic cost accounting;
-//   - TransportGoroutine: one goroutine per site fed by a mailbox; the
-//     coordinator runs on whichever goroutine delivers to it;
+//   - TransportGoroutine: the shared in-process fabric with in-memory
+//     delivery; it starts no goroutine, and every cascade runs on the
+//     goroutine that feeds the elements;
 //   - TransportTCP: one loopback TCP connection per site; every protocol
 //     message crosses the kernel as a length-prefixed frame carrying its
 //     binary wire encoding (internal/wire).
 //
-// Call Close when done to release a concurrent transport's goroutines and
-// sockets. For genuinely distributed deployments — a coordinator process
+// Call Close when done to release the TCP transport's goroutines and
+// sockets (and to mark any transport closed). For genuinely distributed deployments — a coordinator process
 // and k site processes exchanging the same wire frames over a real
 // network — see cmd/tracksim's serve and connect modes.
 package disttrack
@@ -109,9 +110,9 @@ const (
 	// TransportSequential runs everything inline on the calling goroutine:
 	// the deterministic exact-accounting reference (internal/sim).
 	TransportSequential Transport = iota
-	// TransportGoroutine runs each site as a goroutine fed by a mailbox; the
-	// coordinator runs on whichever goroutine delivers to it, under one
-	// mutex (internal/netsim).
+	// TransportGoroutine runs the protocol on the in-process fabric with
+	// in-memory delivery (internal/netsim): no goroutine of its own, every
+	// cascade runs on the goroutine that feeds the elements.
 	TransportGoroutine
 	// TransportTCP connects each site to the coordinator over a loopback
 	// TCP socket carrying wire-encoded message frames (internal/runtime).

@@ -11,7 +11,7 @@ type wordMsg int
 func (w wordMsg) Words() int { return int(w) }
 
 // countingSite forwards arrivals and counts broadcasts; all state is guarded
-// by the runtime's single-goroutine-per-site guarantee, checked by -race.
+// by the fabric's per-site mutex, checked by -race.
 type countingSite struct {
 	arrivals int
 	received int

@@ -84,11 +84,18 @@ func FreqRand(streams [][]int64, eps float64, rng *stats.RNG) (estimate func(int
 	p := math.Sqrt(float64(k)) / (eps * float64(n))
 	est := make(map[int64]float64)
 	for _, stream := range streams {
+		// Draw in first-occurrence order, not map order, so a seed fixes
+		// which items are reported.
 		counts := map[int64]int64{}
+		var order []int64
 		for _, j := range stream {
+			if counts[j] == 0 {
+				order = append(order, j)
+			}
 			counts[j]++
 		}
-		for j, c := range counts {
+		for _, j := range order {
+			c := counts[j]
 			q := float64(c) * p
 			if q >= 1 {
 				est[j] += float64(c)

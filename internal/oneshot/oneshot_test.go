@@ -98,6 +98,28 @@ func TestFreqRandUnbiasedAndCheap(t *testing.T) {
 	}
 }
 
+// TestFreqRandDeterministic pins that a seed fixes FreqRand's answer: the
+// per-item Bernoulli draws must not follow map iteration order.
+func TestFreqRandDeterministic(t *testing.T) {
+	const k, n, distinct = 4, 20000, 2000
+	const eps = 0.1 // p = √k/(εn) = 1e-3: every q = c·p < 1
+	rng := stats.New(7)
+	streams := make([][]int64, k)
+	for i := 0; i < n; i++ {
+		streams[i%k] = append(streams[i%k], int64(rng.Intn(distinct)))
+	}
+	est1, res1 := FreqRand(streams, eps, stats.New(21))
+	est2, res2 := FreqRand(streams, eps, stats.New(21))
+	if res1.Words != res2.Words {
+		t.Fatalf("words %d then %d at one seed", res1.Words, res2.Words)
+	}
+	for j := int64(0); j < distinct; j++ {
+		if a, b := est1(j), est2(j); a != b {
+			t.Fatalf("item %d: estimate %v then %v at one seed", j, a, b)
+		}
+	}
+}
+
 func TestFreqRandCheaperThanDet(t *testing.T) {
 	const k, n = 64, 60000
 	const eps = 0.02

@@ -3,14 +3,16 @@ package runtime
 import "sync/atomic"
 
 // Barrier realizes the instant-communication quiescence barrier shared by
-// the concurrent transports, with fault-middleware awareness.
+// the in-process transports, with fault-middleware awareness.
 //
 // A token is one unit of in-flight work: an injected arrival or an
-// undelivered message. Tokens are either active (moving through mailboxes,
-// sockets, and handlers) or parked (held inside the fault middleware — a
-// delayed frame, a partitioned link's queue). Settle blocks until no active
-// token remains; what happens to parked tokens then depends on the settle
-// mode:
+// undelivered message. Tokens are either active (moving through sockets,
+// the fabric's down queue, and handlers) or parked (held inside the fault
+// middleware — a delayed frame, a partitioned link's queue). Settle blocks
+// until no active token remains, applying queued down-messages itself
+// through the drain hook while it waits (a queued message keeps its token,
+// so no active token means an empty queue); what happens to parked tokens
+// then depends on the settle mode:
 //
 //   - Settle(false) — the per-arrival barrier. Once active work drains, the
 //     middleware's onIdle hook is offered the chance to release held
@@ -30,15 +32,22 @@ import "sync/atomic"
 // to the plain in-flight wait the transports always had — and the
 // implementation keeps that path on sync.WaitGroup economics: Add, Done,
 // Park, and Unpark are single atomic adds; only the settling goroutine
-// ever blocks, on a one-slot signal channel fed by zero transitions.
+// ever blocks, on a one-slot signal channel fed by zero transitions and by
+// posts to an empty down queue.
 type Barrier struct {
 	active atomic.Int64
 	parked atomic.Int64
 
-	// sem receives one (coalesced) signal per active-count zero
-	// transition; Settle re-checks the count after every wake, so a stale
-	// or coalesced signal is harmless.
+	// sem receives one (coalesced) signal per active-count zero transition
+	// and per Post to an empty down queue; Settle re-checks the count and
+	// the queue after every wake, so a stale or coalesced signal is
+	// harmless.
 	sem chan struct{}
+
+	// drain, installed by the fabric, applies one queued down-message and
+	// reports whether there was one. Called from the settling goroutine
+	// only, holding no lock.
+	drain func() bool
 
 	// onIdle, installed by the fault middleware, releases held traffic:
 	// everything deliverable when full, only due traffic otherwise. It
@@ -51,9 +60,16 @@ type Barrier struct {
 	aborted atomic.Bool
 }
 
-func (b *Barrier) init() {
-	if b.sem == nil {
-		b.sem = make(chan struct{}, 1)
+func (b *Barrier) init(drain func() bool) {
+	b.sem = make(chan struct{}, 1)
+	b.drain = drain
+}
+
+// wake wakes the settler.
+func (b *Barrier) wake() {
+	select {
+	case b.sem <- struct{}{}:
+	default: // a wake-up is already pending; one is enough
 	}
 }
 
@@ -61,10 +77,7 @@ func (b *Barrier) init() {
 func (b *Barrier) signalIfZero(n int64) {
 	switch {
 	case n == 0:
-		select {
-		case b.sem <- struct{}{}:
-		default: // a wake-up is already pending; one is enough
-		}
+		b.wake()
 	case n < 0:
 		panic("runtime: barrier token retired twice")
 	}
@@ -101,7 +114,7 @@ func (b *Barrier) Unpark() {
 // raise it instead of settling traffic nothing will ever retire.
 func (b *Barrier) Abort() {
 	b.aborted.Store(true)
-	b.signalIfZero(0) // wake the settler
+	b.wake()
 }
 
 // SetOnIdle installs the middleware release hook. Install before the first
@@ -109,13 +122,17 @@ func (b *Barrier) Abort() {
 func (b *Barrier) SetOnIdle(fn func(full bool) bool) { b.onIdle = fn }
 
 // Settle blocks until the system is quiescent in the requested mode (see
-// the type comment). Only the single injecting goroutine calls Settle, so
-// there is exactly one waiter: a one-slot channel cannot lose its wake-up
-// (Done's send happens after the count it signals is visible, and Settle
-// re-checks the count after every receive).
+// the type comment), applying queued down-messages as it goes. Only the
+// single injecting goroutine calls Settle, so there is exactly one waiter:
+// a one-slot channel cannot lose its wake-up (Done's and Post's sends
+// happen after the state they signal is visible, and Settle re-checks the
+// count and the queue after every receive).
 func (b *Barrier) Settle(full bool) {
 	for {
 		for b.active.Load() != 0 && !b.aborted.Load() {
+			if b.drain() {
+				continue
+			}
 			<-b.sem
 		}
 		if b.parked.Load() == 0 || b.onIdle == nil || b.aborted.Load() {
@@ -128,6 +145,3 @@ func (b *Barrier) Settle(full bool) {
 		}
 	}
 }
-
-// Wait is Settle(true): the full quiescence barrier.
-func (b *Barrier) Wait() { b.Settle(true) }

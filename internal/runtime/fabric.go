@@ -7,147 +7,20 @@ import (
 	"disttrack/internal/proto"
 )
 
-// Mailbox is an unbounded FIFO usable from multiple producers with one
-// consumer loop. Storage is a power-of-two ring: Put and Get are O(1) with
-// no compaction copies, the ring grows by doubling when full, and a drained
-// consumer can take every queued value in one critical section (GetBatch),
-// so a loop pays one lock/wakeup per run of traffic instead of one per
-// message.
-type Mailbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	ring   []any  // power-of-two capacity
-	head   uint64 // absolute pop counter; index = head & (len(ring)-1)
-	tail   uint64 // absolute push counter
-	closed bool
-}
-
-// NewMailbox returns an empty open mailbox.
-func NewMailbox() *Mailbox {
-	mb := &Mailbox{}
-	mb.cond = sync.NewCond(&mb.mu)
-	return mb
-}
-
-// grow doubles the ring (initially to 64 slots), re-packing live entries
-// from the head. Caller holds mu.
-func (mb *Mailbox) grow() {
-	n := len(mb.ring) * 2
-	if n == 0 {
-		n = 64
-	}
-	next := make([]any, n)
-	live := mb.tail - mb.head
-	mask := uint64(len(mb.ring) - 1)
-	for i := uint64(0); i < live; i++ {
-		next[i] = mb.ring[(mb.head+i)&mask]
-	}
-	mb.ring = next
-	mb.head, mb.tail = 0, live
-}
-
-// Put enqueues v.
-func (mb *Mailbox) Put(v any) {
-	mb.mu.Lock()
-	if mb.tail-mb.head == uint64(len(mb.ring)) {
-		mb.grow()
-	}
-	mb.ring[mb.tail&uint64(len(mb.ring)-1)] = v
-	mb.tail++
-	mb.mu.Unlock()
-	mb.cond.Signal()
-}
-
-// PutAll enqueues every value of vs under one lock with one wakeup.
-func (mb *Mailbox) PutAll(vs []any) {
-	if len(vs) == 0 {
-		return
-	}
-	mb.mu.Lock()
-	for _, v := range vs {
-		if mb.tail-mb.head == uint64(len(mb.ring)) {
-			mb.grow()
-		}
-		mb.ring[mb.tail&uint64(len(mb.ring)-1)] = v
-		mb.tail++
-	}
-	mb.mu.Unlock()
-	mb.cond.Signal()
-}
-
-// Get blocks until a value is available or the mailbox is closed (a closed
-// mailbox still drains its queue before reporting false).
-func (mb *Mailbox) Get() (any, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for mb.head == mb.tail && !mb.closed {
-		mb.cond.Wait()
-	}
-	if mb.head == mb.tail {
-		return nil, false
-	}
-	i := mb.head & uint64(len(mb.ring)-1)
-	v := mb.ring[i]
-	mb.ring[i] = nil // drop the reference for the GC
-	mb.head++
-	return v, true
-}
-
-// GetBatch blocks like Get, then drains every queued value into buf
-// (appended) in FIFO order — the batch-delivery path: one wakeup and one
-// lock round trip per run of traffic. It returns false only when the
-// mailbox is closed and empty.
-func (mb *Mailbox) GetBatch(buf []any) ([]any, bool) {
-	mb.mu.Lock()
-	for mb.head == mb.tail && !mb.closed {
-		mb.cond.Wait()
-	}
-	if mb.head == mb.tail {
-		mb.mu.Unlock()
-		return buf, false
-	}
-	mask := uint64(len(mb.ring) - 1)
-	for mb.head != mb.tail {
-		i := mb.head & mask
-		buf = append(buf, mb.ring[i])
-		mb.ring[i] = nil
-		mb.head++
-	}
-	mb.mu.Unlock()
-	return buf, true
-}
-
-// Close wakes all blocked consumers; Get/GetBatch drain the remaining queue
-// and then report false.
-func (mb *Mailbox) Close() {
-	mb.mu.Lock()
-	mb.closed = true
-	mb.mu.Unlock()
-	mb.cond.Broadcast()
-}
-
-// FromMsg is a site->coordinator protocol message with its sender, as
-// tcp.Server's event loop queues it.
-type FromMsg struct {
-	From int
-	Msg  proto.Message
-}
-
 // Middleware intercepts every protocol message a Fabric-based transport
 // carries, between cost accounting and delivery. The fault-injection layer
 // (internal/runtime/faulty) is the only implementation; a nil middleware
 // means direct delivery.
 //
 // Per-link calls are serial: Up(i, ...) runs under site i's injection mutex
-// (the injecting goroutine for arrival-triggered sends, site i's loop for
-// receive-triggered ones — never both at once), Down under the coordinator
-// mutex. To deliver immediately the middleware calls deliver; to hold the
-// message it queues the frame internally and parks its in-flight token
-// (Fabric.Inflight.Park), then releases later from Release (the barrier's
-// idle hook) by unparking the token and delivering under the link's owning
-// mutex (Fabric.ReleaseUp/ReleaseDown). Once the fabric is Closed, nothing
-// may be released — the site loops and sockets that would carry it are gone
-// (check Fabric.Closed).
+// (on the injecting goroutine, for arrival- and receive-triggered sends
+// alike), Down under the coordinator mutex. To deliver immediately the
+// middleware calls deliver; to hold the message it queues the frame
+// internally and parks its in-flight token (Fabric.Inflight.Park), then
+// releases later from Release (the barrier's idle hook) by unparking the
+// token and delivering under the link's owning mutex
+// (Fabric.ReleaseUp/ReleaseDown). Once the fabric is Closed, nothing may be
+// released (check Fabric.Closed).
 type Middleware interface {
 	// Up intercepts a site->coordinator message already charged to the
 	// ledger; deliver carries it to the coordinator.
@@ -165,31 +38,34 @@ type Middleware interface {
 	LiveSites() int
 }
 
-// Fabric is the shared core of the concurrent transports (goroutine
-// mailboxes, TCP loopback): inline arrival injection, per-site delivery
-// mailboxes, the in-flight counter that realizes the instant-communication
-// quiescence barrier, the cost ledger, and quiesce-time space probing. A
-// transport embeds *Fabric, registers its per-site and coordinator delivery
-// (and optional flush) hooks with BindSite/BindCoord, launches its site
-// loops (RunSiteLoop), hands every site->coordinator message that reaches
-// the coordinator's end to DeliverUp, and brackets every message it carries
-// with CountUp/CountDown so Arrive's barrier covers it.
+// Fabric is the shared core of the in-process transports (netsim, TCP
+// loopback): inline arrival injection, the down queue, the in-flight
+// counter that realizes the instant-communication quiescence barrier, the
+// cost ledger, and quiesce-time space probing. A transport embeds *Fabric,
+// registers its per-site and coordinator delivery (and optional flush)
+// hooks with BindSite/BindCoord, hands every site->coordinator message that
+// reaches the coordinator's end to DeliverUp and every coordinator->site
+// message that reaches a site's end to Post, and brackets every message it
+// carries with CountUp/CountDown so Arrive's barrier covers it.
 //
-// Arrivals take the zero-hop fast path: Arrive runs the site machine on the
-// injecting goroutine under that site's mutex, so a message-free arrival —
-// the overwhelmingly common case under the paper's protocols — costs a
-// mutex round trip and the barrier's atomics instead of two goroutine
-// wakeups. Site loops take the same mutex around delivery, which both
-// serializes access to the site machine (the socket transports have no
-// other happens-before edge between the injector and the site loop) and
-// keeps per-link middleware/tap calls serial.
+// The fabric runs no goroutine of its own. Arrivals take the zero-hop fast
+// path: Arrive runs the site machine on the injecting goroutine under that
+// site's mutex, so a message-free arrival — the overwhelmingly common case
+// under the paper's protocols — costs a mutex round trip and the barrier's
+// atomics. The coordinator runs on whichever goroutine delivers to it (the
+// injector on netsim, a connection reader on TCP), under coordMu. Sites
+// receive on the injector too: Post queues a down-message with its token
+// still active, and the barrier, which only the injecting goroutine
+// settles, drains the queue through DeliverDown before every wait. The
+// paper's model lets no element arrive while a message is outstanding, so
+// site goroutines would buy no parallelism.
 //
-// The coordinator has no goroutine of its own: it runs on whichever
-// goroutine delivers to it (the injector or a site loop on the goroutine
-// transport, a connection reader on TCP), under coordMu. Lock order is site
-// mutex -> coordMu, never the reverse: a coordinator send only enqueues (a
-// site-mailbox Put or a frame append), so nothing under coordMu waits for
-// a site mutex and no cycle exists.
+// Lock order is site mutex -> coordMu -> the down queue's leaf mutex,
+// never the reverse: a coordinator send only enqueues (a Post or a frame
+// append), so nothing under coordMu waits for a site mutex and no cycle
+// exists. Every site-side call (Arrive, DeliverDown, ReleaseUp) runs on the
+// injecting goroutine, so the site mutexes are uncontended; they bracket
+// each site's machine, pending send buffer and middleware link.
 type Fabric struct {
 	p proto.Protocol
 
@@ -200,11 +76,8 @@ type Fabric struct {
 	// every handler).
 	SpaceProbeEvery int
 
-	// SiteBoxes[i] feeds site i's loop with coordinator messages.
-	SiteBoxes []*Mailbox
-
-	// Inflight counts injected arrivals and undelivered messages; site
-	// loops and DeliverUp call Inflight.Done() after handling each.
+	// Inflight counts injected arrivals and undelivered messages;
+	// DeliverUp and DeliverDown call Inflight.Done() after handling each.
 	// Messages held inside the fault middleware park their token instead
 	// (see Barrier).
 	Inflight Barrier
@@ -213,15 +86,14 @@ type Fabric struct {
 	mw  Middleware
 
 	// siteMu[i] serializes site i's machine, its pending send buffer, and
-	// its middleware link between the injecting goroutine (inline Arrive)
-	// and the site's delivery loop.
+	// its middleware link.
 	siteMu []sync.Mutex
 
 	// Per-site send path, built by BindSite: siteOut brackets an emitted
 	// message with CountUp and routes it through the middleware to
 	// siteDeliver; siteFlush (optional) is the transport's coalescing
 	// boundary, called under siteMu after an injection or a delivered
-	// batch.
+	// message.
 	siteOut     []func(m proto.Message)
 	siteDeliver []func(m proto.Message)
 	siteFlush   []func()
@@ -244,7 +116,15 @@ type Fabric struct {
 	// Nil costs one predictable branch on the delivery path.
 	coordLog func(from int, m proto.Message)
 
-	// closed flips when CloseBoxes runs, turning use-after-Close from a
+	// down is the FIFO of coordinator->site messages Post queued for the
+	// settling goroutine, from downHead on; downMu is a leaf lock. The
+	// storage is reused once the queue empties, so a Post allocates
+	// nothing in steady state.
+	downMu   sync.Mutex
+	down     []downMsg
+	downHead int
+
+	// closed flips when MarkClosed runs, turning use-after-Close from a
 	// silent in-flight-accounting deadlock into a loud panic (which the
 	// ingest frontend converts into a terminal error). failure holds the
 	// value a panic on the coordinator path left behind (see DeliverUp);
@@ -272,16 +152,12 @@ func NewFabric(p proto.Protocol) *Fabric {
 	f := &Fabric{
 		p:               p,
 		SpaceProbeEvery: 1024,
-		SiteBoxes:       make([]*Mailbox, k),
 		siteMu:          make([]sync.Mutex, k),
 		siteOut:         make([]func(m proto.Message), k),
 		siteDeliver:     make([]func(m proto.Message), k),
 		siteFlush:       make([]func(), k),
 	}
-	for i := range f.SiteBoxes {
-		f.SiteBoxes[i] = NewMailbox()
-	}
-	f.Inflight.init()
+	f.Inflight.init(f.drainDown)
 	return f
 }
 
@@ -292,9 +168,8 @@ func (f *Fabric) Protocol() proto.Protocol { return f.p }
 // message to the coordinator: DeliverUp it, encode a frame, ...) and an
 // optional flush hook marking the transport's coalescing
 // boundary — flush runs under site i's mutex after every inline injection
-// and after every delivered mailbox batch, so buffered frames are always on
-// the wire before the fabric settles or the loop blocks. Bind before the
-// first arrival.
+// and every delivered message, so buffered frames are always on the wire
+// before the fabric settles. Bind before the first arrival.
 func (f *Fabric) BindSite(i int, deliver func(m proto.Message), flush func()) {
 	f.siteDeliver[i] = deliver
 	f.siteFlush[i] = flush
@@ -309,9 +184,9 @@ func (f *Fabric) BindSite(i int, deliver func(m proto.Message), flush func()) {
 }
 
 // BindCoord registers the coordinator's transport delivery hook (carry one
-// message to one site; it must only enqueue — see the lock order in the
-// Fabric doc) and an optional flush hook, called under coordMu after every
-// applied message. Bind before the first arrival.
+// message to one site — Post it, encode a frame, ...; it must only enqueue,
+// see the lock order in the Fabric doc) and an optional flush hook, called
+// under coordMu after every applied message. Bind before the first arrival.
 func (f *Fabric) BindCoord(deliver func(to int, m proto.Message), flush func()) {
 	f.coordFlush = flush
 	// One bound closure per destination, so the middleware path doesn't
@@ -379,7 +254,7 @@ func (f *Fabric) ReleaseUp(from int, m proto.Message) {
 }
 
 // ReleaseDown delivers a held coordinator->site message under coordMu (see
-// ReleaseUp); site to's loop retires its token.
+// ReleaseUp); DeliverDown retires its token.
 func (f *Fabric) ReleaseDown(to int, m proto.Message) {
 	f.coordMu.Lock()
 	defer f.coordMu.Unlock()
@@ -393,9 +268,9 @@ func (f *Fabric) ReleaseDown(to int, m proto.Message) {
 // plan's clock).
 func (f *Fabric) Arrivals() int64 { return atomic.LoadInt64(&f.arrivals) }
 
-// Closed reports whether CloseBoxes has run: the site loops are gone, so
-// held traffic can no longer be released (the middleware must stop
-// releasing, or the released tokens would never retire and Quiesce would
+// Closed reports whether MarkClosed has run: the transport's sockets may be
+// gone, so held traffic can no longer be released (the middleware must stop
+// releasing, or a released token could never retire and Quiesce would
 // hang).
 func (f *Fabric) Closed() bool { return f.closed.Load() }
 
@@ -505,35 +380,57 @@ func (f *Fabric) raise() {
 	}
 }
 
-// RunSiteLoop runs site i's delivery loop on the calling goroutine until
-// the site's mailbox closes: it drains coordinator messages in batches (one
-// wakeup per run), handles each under the site's mutex, and flushes the
-// transport's pending frames at the batch edge — the coalescing boundary —
-// before blocking again.
-func (f *Fabric) RunSiteLoop(i int) {
-	site := f.p.Sites[i]
-	box := f.SiteBoxes[i]
-	out := f.siteOut[i]
-	flush := f.siteFlush[i]
-	mu := &f.siteMu[i]
-	var batch []any
-	for {
-		var ok bool
-		batch, ok = box.GetBatch(batch[:0])
-		if !ok {
-			return
-		}
-		mu.Lock()
-		for j, v := range batch {
-			batch[j] = nil // drop the reference for the GC
-			site.Receive(v.(proto.Message), out)
-			f.Inflight.Done()
-		}
-		if flush != nil {
-			flush()
-		}
-		mu.Unlock()
+// downMsg is one queued coordinator->site message.
+type downMsg struct {
+	to int
+	m  proto.Message
+}
+
+// Post queues a coordinator->site message that reached site to's end; its
+// in-flight token stays active until DeliverDown applies it. Post never
+// blocks, so it is safe under coordMu and on a socket reader, and it wakes
+// the settler when the queue was empty (the settler only waits after
+// finding it empty, so one wake-up per run of messages is enough).
+func (f *Fabric) Post(to int, m proto.Message) {
+	f.downMu.Lock()
+	wasEmpty := f.downHead == len(f.down)
+	f.down = append(f.down, downMsg{to: to, m: m})
+	f.downMu.Unlock()
+	if wasEmpty {
+		f.Inflight.wake()
 	}
+}
+
+// drainDown applies the oldest queued down-message, if any, and reports
+// whether it did. It is the barrier's drain hook, so it runs only on the
+// settling goroutine.
+func (f *Fabric) drainDown() bool {
+	f.downMu.Lock()
+	if f.downHead == len(f.down) {
+		f.downMu.Unlock()
+		return false
+	}
+	d := f.down[f.downHead]
+	f.down[f.downHead] = downMsg{} // drop the reference for the GC
+	if f.downHead++; f.downHead == len(f.down) {
+		f.down, f.downHead = f.down[:0], 0
+	}
+	f.downMu.Unlock()
+	f.DeliverDown(d.to, d.m)
+	return true
+}
+
+// DeliverDown applies one coordinator->site message on the calling
+// goroutine: under site to's mutex it runs the site machine (its sends
+// routed through the site's send path) and the site flush, then retires the
+// message's token. It is DeliverUp's twin; per-link order is the down
+// queue's FIFO order.
+func (f *Fabric) DeliverDown(to int, m proto.Message) {
+	f.inject(to, func(out func(proto.Message)) int64 {
+		f.p.Sites[to].Receive(m, out)
+		return 0
+	})
+	f.Inflight.Done()
 }
 
 // DeliverUp applies one site->coordinator message on the calling goroutine:
@@ -584,8 +481,8 @@ func (f *Fabric) Quiesce() {
 
 // Probe implements Transport. The fabric must be quiescent: the in-flight
 // barrier then orders this read after every handler that touched protocol
-// state, so it is race-free even though the machines live on other
-// goroutines.
+// state, so it is race-free even though the coordinator may have run on a
+// socket reader.
 func (f *Fabric) Probe() {
 	for _, s := range f.p.Sites {
 		if w := s.SpaceWords(); w > f.maxSiteSpace {
@@ -641,12 +538,7 @@ func (f *Fabric) Metrics() Metrics {
 	}
 }
 
-// CloseBoxes closes every mailbox, releasing the transport's site loops, and
-// marks the fabric closed so later injections panic instead of hanging on
-// in-flight accounting no loop will ever retire.
-func (f *Fabric) CloseBoxes() {
-	f.closed.Store(true)
-	for _, mb := range f.SiteBoxes {
-		mb.Close()
-	}
-}
+// MarkClosed marks the fabric closed, so later injections panic instead of
+// hanging on in-flight accounting that the transport's closed sockets
+// could never retire.
+func (f *Fabric) MarkClosed() { f.closed.Store(true) }

@@ -291,11 +291,10 @@ func (inj *Injector) Down(to int, m proto.Message, deliver func(proto.Message)) 
 // earlier one.
 func (inj *Injector) releaseLink(l *link, site int, up bool, full bool) bool {
 	if inj.f.Closed() {
-		// The site loops and sockets are gone; a released frame would land
-		// in a closed mailbox nobody reads or on a closed connection, and
-		// its token would never retire, hanging every later Quiesce. Held
-		// residue stays held — queries after Close read the state as of
-		// Close.
+		// The transport's sockets may be gone; a released frame would land
+		// on a closed connection, and its token would never retire,
+		// hanging every later Quiesce. Held residue stays held — queries
+		// after Close read the state as of Close.
 		return false
 	}
 	n := inj.f.Arrivals()
@@ -336,8 +335,8 @@ func (inj *Injector) releaseLink(l *link, site int, up bool, full bool) bool {
 // frame's whole cascade before asking again. One at a time is what keeps
 // per-link FIFO airtight: a release happens at a no-active-work instant,
 // so nothing else is moving on the link, and the release hands the frame
-// to the link's delivery (applied to the coordinator, put in the site's
-// mailbox, or written to the socket) before Release returns — anything
+// to the link's delivery (applied to the coordinator, queued on the
+// fabric's down queue, or written to the socket) before Release returns — anything
 // the cascade adds to the same link later queues behind it and can never
 // overtake it.
 func (inj *Injector) Release(full bool) bool {

@@ -5,7 +5,8 @@
 // Transport is the fabric that carries their messages and injects arrivals:
 //
 //   - the sequential exact-accounting simulator (internal/sim);
-//   - the goroutine-per-site concurrent runtime (internal/netsim);
+//   - the in-memory fabric (internal/netsim), which runs every cascade on
+//     the feeding goroutine;
 //   - the TCP-loopback transport (internal/runtime/tcp), which frames
 //     wire-encoded messages (internal/wire) over real sockets.
 //
@@ -14,9 +15,11 @@
 // quiesced, so for a fixed seed the per-link message sequences, the cost
 // Metrics, and every query answer are identical on every transport (the
 // transport-independence test in the root package enforces this). The two
-// concurrent transports share Fabric; their coordinator has no goroutine of
-// its own — Fabric.DeliverUp applies each site message on the goroutine
-// that delivers it, under one coordinator mutex.
+// in-process fabrics share Fabric, which runs no goroutine of its own:
+// Fabric.DeliverUp applies each site message on the goroutine that
+// delivers it, under one coordinator mutex, and the feeding goroutine
+// applies each coordinator message (Fabric.Post, Fabric.DeliverDown) while
+// it settles.
 //
 // The Runtime wrapper owns the choreography the facade needs — quiesce
 // before reading metrics, probe space high-water marks at quiescent

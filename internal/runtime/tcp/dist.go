@@ -243,7 +243,7 @@ type Server struct {
 	// box is the event loop's mailbox, published before serving flips true
 	// so Shutdown, Kill and Inspect can signal the loop from other
 	// goroutines.
-	box *runtime.Mailbox
+	box *mailbox
 
 	// loopDone is closed when Serve returns, after the final drain has
 	// applied every queued frame. Inspect selects on it so an inspectReq
@@ -342,12 +342,12 @@ func (s *Server) Inspect(fn func(runtime.Metrics)) bool {
 	// serving was set after box and loopDone, so the load above ordered
 	// both reads.
 	req := inspectReq{fn: fn, done: make(chan bool, 1)}
-	s.box.Put(req)
+	s.box.put(req)
 	select {
 	case ran := <-req.done:
 		return ran
 	case <-s.loopDone:
-		// Teardown raced the Put: the drain already emptied the box, nobody
+		// Teardown raced the put: the drain already emptied the box, nobody
 		// will run fn. The loop is gone, which is exactly what false means.
 		return false
 	}
@@ -358,8 +358,8 @@ func (s *Server) signal(ev any) bool {
 		return false
 	}
 	// serving was set after box, so the load above ordered this read; a
-	// teardown racing the Put is benign (the drain discards unknown events).
-	s.box.Put(ev)
+	// teardown racing the put is benign (the drain discards unknown events).
+	s.box.put(ev)
 	return true
 }
 
@@ -404,7 +404,7 @@ func (s *Server) accept(ln net.Listener, timeout time.Duration) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			s.box.Put(fmt.Errorf("tcp: serve accept: %w", err))
+			s.box.put(fmt.Errorf("tcp: serve accept: %w", err))
 			return
 		}
 		s.hsMu.Lock()
@@ -434,9 +434,9 @@ func (s *Server) handshake(conn net.Conn, timeout time.Duration) {
 	s.hsMu.Unlock()
 	switch h := m.(type) {
 	case wire.Hello:
-		s.box.Put(helloReq{h, conn})
+		s.box.put(helloReq{h, conn})
 	case wire.Rejoin:
-		s.box.Put(rejoinReq{h, conn})
+		s.box.put(rejoinReq{h, conn})
 	default:
 		s.reject(conn)
 	}
@@ -553,7 +553,7 @@ func (s *Server) Serve(ln net.Listener) (runtime.Metrics, error) {
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	s.box = runtime.NewMailbox()
+	s.box = newMailbox()
 	s.loopDone = make(chan struct{})
 	defer close(s.loopDone) // after the final drain: no more Coord mutations
 	s.hsConns = map[net.Conn]struct{}{}
@@ -588,11 +588,11 @@ func (l *loop) run() error {
 			if l.phase == running {
 				l.phase = lingering
 				box := l.box
-				defer time.AfterFunc(l.RejoinWait, func() { box.Put(lingerTimeout{}) }).Stop()
+				defer time.AfterFunc(l.RejoinWait, func() { box.put(lingerTimeout{}) }).Stop()
 			}
 		}
 		l.w.flush()
-		v, _ := l.box.Get()
+		v, _ := l.box.get()
 		switch ev := v.(type) {
 		case shutdownReq:
 			if l.phase == lingering {
@@ -619,10 +619,10 @@ func (l *loop) run() error {
 			if !l.settled[ev.site] && !l.live[ev.site] && l.epoch[ev.site] == ev.epoch {
 				l.declareLost(ev.site)
 			}
-		case runtime.FromMsg:
-			if ev.Msg == nil {
-				l.lose(ev.From)
-			} else if err := l.apply(ev.From, ev.Msg); err != nil {
+		case fromMsg:
+			if ev.msg == nil {
+				l.lose(ev.from)
+			} else if err := l.apply(ev.from, ev.msg); err != nil {
 				return err
 			}
 		}
@@ -857,7 +857,7 @@ func (l *loop) lose(site int) {
 		return
 	}
 	box, e := l.box, l.epoch[site]
-	time.AfterFunc(l.RejoinWait, func() { box.Put(rejoinTimeout{site: site, epoch: e}) })
+	time.AfterFunc(l.RejoinWait, func() { box.put(rejoinTimeout{site: site, epoch: e}) })
 }
 
 func (l *loop) declareLost(site int) {
@@ -895,14 +895,14 @@ func (l *loop) startReader(i int, conn net.Conn) {
 			buf = b
 			if err != nil {
 				if !doneSeen {
-					box.Put(runtime.FromMsg{From: i, Msg: nil}) // site lost
+					box.put(fromMsg{from: i}) // site lost
 				}
 				return
 			}
 			if _, done := m.(wire.Done); done {
 				doneSeen = true
 			}
-			box.Put(runtime.FromMsg{From: i, Msg: m})
+			box.put(fromMsg{from: i, msg: m})
 		}
 	}()
 }
@@ -956,10 +956,10 @@ func (l *loop) drain(stop error) (runtime.Metrics, error) {
 	// finished site's AdjustMsg reply to a late round broadcast) still
 	// belong to the run — unless the coordinator was killed, which loses
 	// its in-flight queue. The readers have exited, so closing the box
-	// lets Get drain without blocking; sends during the drain hit closed
+	// lets get drain without blocking; sends during the drain hit closed
 	// connections and are dropped, which is fine — the sites are gone.
-	l.box.Close()
-	for v, ok := l.box.Get(); ok; v, ok = l.box.Get() {
+	l.box.close()
+	for v, ok := l.box.get(); ok; v, ok = l.box.get() {
 		switch ev := v.(type) {
 		case helloReq:
 			l.reject(ev.conn)
@@ -967,9 +967,9 @@ func (l *loop) drain(stop error) (runtime.Metrics, error) {
 			l.reject(ev.conn) // a rejoin that raced run end
 		case inspectReq:
 			l.inspect(ev) // answered; the rest follows before loopDone closes
-		case runtime.FromMsg:
-			if stop != ErrKilled && ev.Msg != nil {
-				if err := l.apply(ev.From, ev.Msg); err != nil && stop == nil {
+		case fromMsg:
+			if stop != ErrKilled && ev.msg != nil {
+				if err := l.apply(ev.from, ev.msg); err != nil && stop == nil {
 					stop = err
 				}
 			}

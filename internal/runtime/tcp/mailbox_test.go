@@ -1,4 +1,4 @@
-package runtime
+package tcp
 
 import (
 	"sync"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestMailboxManyProducers(t *testing.T) {
-	mb := NewMailbox()
+	mb := newMailbox()
 	const producers = 8
 	const perProducer = 1000
 	var wg sync.WaitGroup
@@ -15,7 +15,7 @@ func TestMailboxManyProducers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				mb.Put(i)
+				mb.put(i)
 			}
 		}()
 	}
@@ -23,7 +23,7 @@ func TestMailboxManyProducers(t *testing.T) {
 	go func() {
 		got := 0
 		for {
-			_, ok := mb.Get()
+			_, ok := mb.get()
 			if !ok {
 				done <- got
 				return
@@ -32,33 +32,33 @@ func TestMailboxManyProducers(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	mb.Close()
+	mb.close()
 	if got := <-done; got != producers*perProducer {
 		t.Fatalf("mailbox delivered %d, want %d", got, producers*perProducer)
 	}
 }
 
 func TestMailboxFIFO(t *testing.T) {
-	mb := NewMailbox()
-	// Interleave puts and gets so the head-indexed queue exercises both its
-	// reset-on-drain and compaction paths.
+	mb := newMailbox()
+	// Interleave puts and gets so the queue keeps growing while its head
+	// advances.
 	next, want := 0, 0
 	for round := 0; round < 300; round++ {
 		for i := 0; i < 7; i++ {
-			mb.Put(next)
+			mb.put(next)
 			next++
 		}
 		for i := 0; i < 5; i++ {
-			v, ok := mb.Get()
+			v, ok := mb.get()
 			if !ok || v.(int) != want {
 				t.Fatalf("got %v (ok=%v), want %d", v, ok, want)
 			}
 			want++
 		}
 	}
-	mb.Close()
+	mb.close()
 	for {
-		v, ok := mb.Get()
+		v, ok := mb.get()
 		if !ok {
 			break
 		}

@@ -18,16 +18,30 @@ import (
 	"disttrack/internal/wire"
 )
 
-// Loopback hosts one protocol over real sockets: one goroutine per site
-// machine, each site connected to the coordinator by its own TCP connection
-// on the loopback interface, and the coordinator machine run by whichever
-// connection reader decoded a frame for it, under the fabric's coordinator
-// mutex. Every protocol message crosses the kernel as a length-prefixed
-// frame carrying its wire encoding (internal/wire), so this transport
-// exercises the full encode -> socket -> decode path while still enforcing
-// the paper's instant-communication model: the embedded runtime.Fabric
-// brackets every frame from send to handler completion with its in-flight
-// counter, and Arrive blocks until the cascade has quiesced.
+// Loopback hosts one protocol over real sockets: each site is connected to
+// the coordinator by its own TCP connection on the loopback interface, and
+// a reader goroutine at each end decodes its frames. Every protocol
+// message crosses the kernel as a length-prefixed frame carrying its wire
+// encoding (internal/wire), so this transport exercises the full encode ->
+// socket -> decode path while still enforcing the paper's
+// instant-communication model: the embedded runtime.Fabric brackets every
+// frame from send to handler completion with its in-flight counter, and
+// Arrive blocks until the cascade has quiesced.
+//
+// The coordinator machine runs on whichever coordinator-side reader decoded
+// a frame for it, under the fabric's coordinator mutex, and its sends are
+// written to the sites' sockets under that mutex. A site-side reader only
+// Posts the decoded message to the fabric's down queue; the feeding
+// goroutine applies it while it settles, under the site's mutex, and writes
+// the site's replies. The reader must never apply a frame itself under
+// site i's mutex. The feeder, holding that mutex, can block writing to
+// site i's full socket towards the coordinator; the reader draining that
+// socket can wait for the coordinator mutex; its holder can block writing
+// to site i's full socket from the coordinator; and the only goroutine that
+// drains that socket, site i's reader, would be waiting for site i's
+// mutex: a cycle (feeder -> coordinator reader -> coordinator mutex -> site
+// reader -> site mutex). Post never blocks, so every socket always has a
+// reader draining it and no cycle exists.
 //
 // For a fixed seed the protocol behaves identically to the sequential and
 // goroutine transports — same per-link message sequences, same Metrics,
@@ -41,8 +55,8 @@ type Loopback struct {
 
 	// Pending outbound frames, encoded back-to-back and written in one
 	// syscall at each flush boundary. sitePend[i] is guarded by the
-	// fabric's per-site injection mutex (appended by the inline injector
-	// or site i's loop, flushed by the fabric's flush hook under the same
+	// fabric's per-site injection mutex (appended by an arrival or a
+	// delivered message, flushed by the fabric's flush hook under the same
 	// mutex); coordPend/coordDirty are guarded by the fabric's coordinator
 	// mutex.
 	sitePend   [][]byte
@@ -55,8 +69,8 @@ type Loopback struct {
 
 // StartLoopback mounts the protocol on a fresh loopback TCP fabric: it
 // listens on an ephemeral 127.0.0.1 port, dials one connection per site,
-// completes the Hello handshake on each, and launches the site loops and
-// the connection readers.
+// completes the Hello handshake on each, and launches the connection
+// readers.
 func StartLoopback(p proto.Protocol) (*Loopback, error) {
 	k := p.K()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -135,8 +149,8 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 		conn := c.siteConns[i]
 		// Site sends append frames to the connection's pending buffer; the
 		// fabric's flush hook — end of an inline injection or a delivered
-		// batch, always under the site mutex — puts them on the wire in one
-		// syscall.
+		// message, always under the site mutex — puts them on the wire in
+		// one syscall.
 		c.BindSite(i,
 			func(m proto.Message) {
 				var err error
@@ -158,7 +172,7 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 	// Coordinator sends coalesce per destination connection; the flush hook
 	// runs after every applied message and walks only the dirty
 	// connections. Its writes never wait on a lock: the site readers that
-	// drain those sockets only put into mailboxes.
+	// drain those sockets only Post (see the Loopback doc).
 	c.BindCoord(
 		func(to int, m proto.Message) {
 			if len(c.coordPend[to]) == 0 {
@@ -181,8 +195,7 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 		})
 
 	for i := 0; i < k; i++ {
-		c.wg.Add(3)
-		go c.siteLoop(i)
+		c.wg.Add(2)
 		go c.siteReader(i)
 		go c.coordReader(i)
 	}
@@ -199,15 +212,8 @@ func (c *Loopback) fail(op string, err error) {
 	panic(fmt.Sprintf("tcp: transport %s: %v", op, err))
 }
 
-// siteLoop runs site i's delivery loop via the shared fabric loop; emitted
-// frames coalesce in the connection's pending buffer until the batch-edge
-// flush (see StartLoopback's BindSite hooks).
-func (c *Loopback) siteLoop(i int) {
-	defer c.wg.Done()
-	c.RunSiteLoop(i)
-}
-
-// siteReader decodes coordinator->site frames into site i's mailbox.
+// siteReader decodes coordinator->site frames and Posts each to the
+// fabric's down queue for site i, in the link's frame order.
 func (c *Loopback) siteReader(i int) {
 	defer c.wg.Done()
 	conn := c.siteConns[i]
@@ -222,7 +228,7 @@ func (c *Loopback) siteReader(i int) {
 			c.fail("site read", err)
 			return
 		}
-		c.SiteBoxes[i].Put(m)
+		c.Post(i, m)
 	}
 }
 
@@ -259,13 +265,13 @@ func (c *Loopback) closeConns() {
 	}
 }
 
-// Close implements runtime.Transport: it shuts down all goroutines and
-// closes the sockets. The transport must be quiescent.
+// Close implements runtime.Transport: it closes the sockets and joins the
+// readers. The transport must be quiescent.
 func (c *Loopback) Close() {
 	if !c.closed.CompareAndSwap(false, true) {
 		return
 	}
-	c.CloseBoxes()
+	c.MarkClosed()
 	c.closeConns()
 	c.wg.Wait()
 }

@@ -60,23 +60,23 @@ type FaultCounts struct {
 // ledger, the neutral image of disttrack.Metrics / runtime.Metrics that
 // /metrics and /v1/healthz export.
 type Snapshot struct {
-	Arrivals      int64
-	MessagesUp    int64
-	MessagesDown  int64
-	WordsUp       int64
-	WordsDown     int64
-	Broadcasts    int64
-	Dropped       int64
-	LiveSites     int
-	MaxSiteSpace  int
-	MaxCoordSpace int
-	Snapshots     int64
+	Arrivals       int64
+	MessagesUp     int64
+	MessagesDown   int64
+	WordsUp        int64
+	WordsDown      int64
+	Broadcasts     int64
+	Dropped        int64
+	LiveSites      int
+	MaxSiteSpace   int
+	MaxCoordSpace  int
+	Snapshots      int64
 	ReplayedFrames int64
-	Resyncs       int64
-	Depth         int
-	LevelMessages [2]int64
-	LevelWords    [2]int64
-	Faults        FaultCounts
+	Resyncs        int64
+	Depth          int
+	LevelMessages  [2]int64
+	LevelWords     [2]int64
+	Faults         FaultCounts
 }
 
 // Info describes the deployment: static facts the server reports in

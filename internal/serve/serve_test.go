@@ -107,12 +107,12 @@ func TestBadParams(t *testing.T) {
 	}
 	_, ts := testServer(t, backend, Info{K: 4})
 
-	getJSON(t, ts.URL+"/v1/freq", 400)               // missing item
-	getJSON(t, ts.URL+"/v1/freq?item=zebra", 400)    // unparseable
-	getJSON(t, ts.URL+"/v1/rank", 400)               // missing value
-	getJSON(t, ts.URL+"/v1/rank?value=NaN", 400)     // NaN rejected
-	getJSON(t, ts.URL+"/v1/quantile?phi=1.5", 400)   // outside [0,1]
-	getJSON(t, ts.URL+"/v1/quantile?phi=oops", 400)  // unparseable
+	getJSON(t, ts.URL+"/v1/freq", 400)                    // missing item
+	getJSON(t, ts.URL+"/v1/freq?item=zebra", 400)         // unparseable
+	getJSON(t, ts.URL+"/v1/rank", 400)                    // missing value
+	getJSON(t, ts.URL+"/v1/rank?value=NaN", 400)          // NaN rejected
+	getJSON(t, ts.URL+"/v1/quantile?phi=1.5", 400)        // outside [0,1]
+	getJSON(t, ts.URL+"/v1/quantile?phi=oops", 400)       // unparseable
 	postJSON(t, ts.URL+"/v1/observe", `{"site":9}`, 400)  // site >= k
 	postJSON(t, ts.URL+"/v1/observe", `{"site":-1}`, 400) // negative site
 	postJSON(t, ts.URL+"/v1/observe", `{"count":-2}`, 400)
@@ -194,29 +194,29 @@ func TestMetricsExposition(t *testing.T) {
 	samples := parsePromText(t, body)
 
 	want := map[string]float64{
-		`disttrack_up`:                                1,
-		`disttrack_sites`:                             16,
-		`disttrack_epsilon`:                           0.05,
-		`disttrack_arrivals_total`:                    1000,
-		`disttrack_messages_total{direction="up"}`:    40,
-		`disttrack_messages_total{direction="down"}`:  12,
-		`disttrack_words_total{direction="up"}`:       80,
-		`disttrack_words_total{direction="down"}`:     24,
-		`disttrack_broadcasts_total`:                  3,
-		`disttrack_dropped_total`:                     5,
-		`disttrack_live_sites`:                        7,
-		`disttrack_site_space_words_max`:              9,
-		`disttrack_coord_space_words_max`:             11,
-		`disttrack_snapshots_total`:                   2,
-		`disttrack_replayed_frames`:                   13,
-		`disttrack_resyncs_total`:                     1,
-		`disttrack_tree_depth`:                        2,
-		`disttrack_level_messages_total{level="0"}`:   30,
-		`disttrack_level_messages_total{level="1"}`:   10,
-		`disttrack_level_words_total{level="0"}`:      60,
-		`disttrack_level_words_total{level="1"}`:      20,
-		`disttrack_faults_total{kind="dropped"}`:      4,
-		`disttrack_faults_total{kind="retransmits"}`:  6,
+		`disttrack_up`:                               1,
+		`disttrack_sites`:                            16,
+		`disttrack_epsilon`:                          0.05,
+		`disttrack_arrivals_total`:                   1000,
+		`disttrack_messages_total{direction="up"}`:   40,
+		`disttrack_messages_total{direction="down"}`: 12,
+		`disttrack_words_total{direction="up"}`:      80,
+		`disttrack_words_total{direction="down"}`:    24,
+		`disttrack_broadcasts_total`:                 3,
+		`disttrack_dropped_total`:                    5,
+		`disttrack_live_sites`:                       7,
+		`disttrack_site_space_words_max`:             9,
+		`disttrack_coord_space_words_max`:            11,
+		`disttrack_snapshots_total`:                  2,
+		`disttrack_replayed_frames`:                  13,
+		`disttrack_resyncs_total`:                    1,
+		`disttrack_tree_depth`:                       2,
+		`disttrack_level_messages_total{level="0"}`:  30,
+		`disttrack_level_messages_total{level="1"}`:  10,
+		`disttrack_level_words_total{level="0"}`:     60,
+		`disttrack_level_words_total{level="1"}`:     20,
+		`disttrack_faults_total{kind="dropped"}`:     4,
+		`disttrack_faults_total{kind="retransmits"}`: 6,
 		`disttrack_info{problem="freq",algorithm="deterministic",transport="goroutine",topology="tree"}`: 1,
 	}
 	for key, v := range want {

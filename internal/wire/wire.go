@@ -123,8 +123,9 @@ func RegisterScratch(tag byte,
 // The returned message is BORROWED: it is valid only until the next Decode
 // of the same tag on this Decoder. Use it on immediate-consumption paths —
 // decode, read the fields, move on. Paths that retain decoded messages
-// (the transport readers, whose mailboxes hold them until a loop drains
-// them) must keep using the plain Decode.
+// (the transport readers, whose queues hold them until the settling
+// goroutine or the server's event loop applies them) must keep using the
+// plain Decode.
 //
 // Message types without a scratch decoder fall back to the plain decode of
 // a fresh (owned, value-form) message, so a Decoder is always safe to
