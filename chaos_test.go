@@ -286,7 +286,8 @@ func TestChaosDelaySoak(t *testing.T) {
 // the code review caught: Close with frames still parked in the fault
 // layer (a long delay, a never-healed partition) must leave queries
 // usable — "queries remain valid after Close" — not re-inject the held
-// frames into closed mailboxes nobody reads and hang the settle forever.
+// frames into a transport nothing drains any more and hang the settle
+// forever.
 func TestQueryAfterCloseWithHeldFrames(t *testing.T) {
 	tr := NewCountTracker(Options{K: 2, Epsilon: 0.1, Seed: 3, Transport: TransportGoroutine,
 		FaultPlan: &FaultPlan{Seed: 1, Delay: 0.9, DelayArrivals: 1 << 40, MaxHeld: 1 << 20}})

@@ -1,8 +1,8 @@
 package disttrack
 
 // The flush-boundary suite: the concurrent transports coalesce outbound
-// frames (ring-mailbox batch delivery, buffered TCP encoders, vectored
-// fan-out writes) and flush at batch edges. Coalescing is purely a wire
+// frames (buffered TCP encoders, vectored fan-out writes) and flush at
+// batch edges. Coalescing is purely a wire
 // optimization — this suite pins the contract that makes it invisible:
 //
 //   - per-link FIFO message sequences are bit-identical whether frames
@@ -11,8 +11,8 @@ package disttrack
 //     at a query boundary would surface as a divergence);
 //   - the fault middleware sees the same message stream either way, so a
 //     seeded drop/duplicate/reorder/partition schedule makes identical
-//     decisions on the goroutine transport (singleton mailbox puts) and
-//     the TCP transport (coalesced frames);
+//     decisions on the goroutine transport (one message per delivery)
+//     and the TCP transport (coalesced frames);
 //   - batched ingestion flushes at chunk edges exactly like singleton
 //     arrivals flush at injection edges.
 //
@@ -144,7 +144,7 @@ func runRankFaulted(t *testing.T, tr Transport, plan *FaultPlan) (runResult, Fau
 // compareFaulted runs the same faulted workload on both concurrent
 // transports and demands identical digests, metrics, and answers: the
 // fault middleware must make the same seeded decisions whether frames
-// arrive as singleton mailbox puts (goroutine) or coalesced wire batches
+// arrive one message per delivery (goroutine) or as coalesced wire batches
 // (TCP).
 func compareFaulted(t *testing.T, run func(Transport) (runResult, FaultStats)) {
 	t.Helper()

@@ -7,6 +7,7 @@ package disttrack
 // quiesced-query contract. CI runs this file under -race.
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -61,35 +62,47 @@ func sameProfile(t *testing.T, label string, serial, concurrent float64) {
 }
 
 // TestConcurrentIngestCountEquivalence is the tentpole property test for
-// the count tracker: 8 producers over a fixed workload produce an estimate
+// the count tracker: 8 producers over a fixed workload produce estimates
 // inside the ε band with the serial run's communication profile, with
-// nothing lost. Runs under -race in CI.
+// nothing lost. The producers' interleaving makes each concurrent estimate
+// a random draw even at a fixed seed, so the ε band is checked across
+// seeds against the δ failure budget (as in guarantee_test.go); what holds
+// on every run — nothing lost or dropped, the serial run's message profile
+// — is checked per seed. Runs under -race in CI.
 func TestConcurrentIngestCountEquivalence(t *testing.T) {
-	serial := NewCountTracker(Options{K: ingestK, Epsilon: ingestEps, Seed: 5})
-	for i := 0; i < ingestN; i++ {
-		serial.Observe(i % ingestK)
-	}
-	sm := serial.Metrics()
-	if stats.RelErr(serial.Estimate(), ingestN) > ingestEps {
-		t.Fatalf("serial estimate %.0f outside the ε band", serial.Estimate())
-	}
-	serial.Close()
+	const seeds = 8
+	outside := 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		serial := NewCountTracker(Options{K: ingestK, Epsilon: ingestEps, Seed: seed})
+		for i := 0; i < ingestN; i++ {
+			serial.Observe(i % ingestK)
+		}
+		sm := serial.Metrics()
+		if stats.RelErr(serial.Estimate(), ingestN) > ingestEps {
+			outside++
+		}
+		serial.Close()
 
-	conc := NewCountTracker(Options{K: ingestK, Epsilon: ingestEps, Seed: 5, ConcurrentIngest: true})
-	defer conc.Close()
-	feedStriped(ingestProducers, ingestN, func(i int) { conc.Observe(i % ingestK) })
-	conc.Flush()
-	cm := conc.Metrics()
-	if cm.Arrivals != ingestN {
-		t.Errorf("concurrent run ingested %d of %d arrivals", cm.Arrivals, ingestN)
+		conc := NewCountTracker(Options{K: ingestK, Epsilon: ingestEps, Seed: seed, ConcurrentIngest: true})
+		feedStriped(ingestProducers, ingestN, func(i int) { conc.Observe(i % ingestK) })
+		conc.Flush()
+		cm := conc.Metrics()
+		if cm.Arrivals != ingestN {
+			t.Errorf("seed %d: concurrent run ingested %d of %d arrivals", seed, cm.Arrivals, ingestN)
+		}
+		if cm.Dropped != 0 {
+			t.Errorf("seed %d: Block policy dropped %d elements", seed, cm.Dropped)
+		}
+		if stats.RelErr(conc.Estimate(), ingestN) > ingestEps {
+			outside++
+		}
+		sameProfile(t, fmt.Sprintf("count seed %d", seed), costProfile(t, sm), costProfile(t, cm))
+		conc.Close()
 	}
-	if cm.Dropped != 0 {
-		t.Errorf("Block policy dropped %d elements", cm.Dropped)
+	if budget := failBudget(2*seeds, 0.1); outside > budget {
+		t.Errorf("%d of %d estimates outside the ε band around %d (budget %d)",
+			outside, 2*seeds, ingestN, budget)
 	}
-	if got := conc.Estimate(); stats.RelErr(got, ingestN) > ingestEps {
-		t.Errorf("concurrent estimate %.0f outside the ε band around %d", got, ingestN)
-	}
-	sameProfile(t, "count", costProfile(t, sm), costProfile(t, cm))
 }
 
 // TestConcurrentIngestFreqEquivalence pins the same property for the

@@ -10,8 +10,9 @@ type wordMsg int
 
 func (w wordMsg) Words() int { return int(w) }
 
-// countingSite forwards arrivals and counts broadcasts; all state is guarded
-// by the fabric's per-site mutex, checked by -race.
+// countingSite forwards arrivals and counts broadcasts; all its state is
+// touched only by the goroutine that feeds and settles the fabric, checked
+// by -race.
 type countingSite struct {
 	arrivals int
 	received int

@@ -18,10 +18,11 @@ import (
 
 // The serial-coordinator pin: a protocol whose coordinator broadcasts on
 // every 4th message it applies and whose sites answer every broadcast, so
-// replies from k site loops race each other back to the coordinator. Every
-// message carries its link's sequence number (count.UpdateMsg up,
-// rounds.BroadcastMsg down — both wire-registered, so the same machines run
-// over TCP), and the coordinator flags any overlapping entry. With k = 3
+// k replies head back to the coordinator at once (on TCP, through k socket
+// readers racing for the coordinator mutex). Every message carries its
+// link's sequence number (count.UpdateMsg up, rounds.BroadcastMsg down —
+// both wire-registered, so the same machines run over TCP), and the
+// coordinator flags any overlapping entry. With k = 3
 // the k replies to one broadcast never reach the next multiple of 4 on
 // their own, so every cascade ends.
 
