@@ -125,3 +125,50 @@ func TestQuietArriveAllocs(t *testing.T) {
 		})
 	}
 }
+
+// spaceSite is silent, absorbs a whole batch at once, and reports its
+// arrival count as its space, so a probe records when it ran.
+type spaceSite struct{ n int64 }
+
+func (s *spaceSite) Arrive(item int64, value float64, out func(proto.Message)) { s.n++ }
+func (s *spaceSite) ArriveBatch(item int64, value float64, count int64, out func(proto.Message)) int64 {
+	s.n += count
+	return count
+}
+func (s *spaceSite) Receive(m proto.Message, out func(proto.Message)) {}
+func (s *spaceSite) SpaceWords() int                                  { return int(s.n) }
+
+// TestProbeCadence pins when the periodic space probe runs: after every
+// Arrive or ArriveBatch chunk that takes the arrival count onto or across a
+// multiple of SpaceProbeEvery, and at no other time, counting from a
+// seeded ledger.
+func TestProbeCadence(t *testing.T) {
+	const every, seeded = 100, 1234
+	for _, mt := range fabricMounts(t) {
+		t.Run(mt.name, func(t *testing.T) {
+			site := &spaceSite{}
+			tr, fab := mt.start(proto.Protocol{Coord: silentCoord{}, Sites: []proto.Site{site}})
+			defer tr.Close()
+			fab.SpaceProbeEvery = every
+			fab.SeedLedger(runtime.Metrics{Arrivals: seeded})
+			rng := stats.New(4)
+			n, want := int64(seeded), 0
+			for step := 0; step < 2000; step++ {
+				c := int64(1)
+				if rng.Intn(2) == 0 {
+					c = 1 + int64(rng.Intn(3*every))
+					tr.ArriveBatch(0, 0, 0, c)
+				} else {
+					tr.Arrive(0, 0, 0)
+				}
+				if n/every != (n+c)/every {
+					want = int(site.n) // probed after this call, at this space
+				}
+				n += c
+				if got := fab.Metrics().MaxSiteSpace; got != want {
+					t.Fatalf("step %d (arrivals %d): probed space %d, want %d", step, n, got, want)
+				}
+			}
+		})
+	}
+}
