@@ -182,11 +182,20 @@ func (s *Site) P() float64 { return s.p }
 func (s *Site) LocalN() int64 { return s.rs.N() }
 
 // Coordinator is the central state machine; it maintains the last reported
-// n̄_i per site and answers Estimate() at any quiescent instant.
+// n̄_i per site and answers Estimate() at any quiescent instant in O(1).
+//
+// The estimator n̂ = Σ_{n̄_i>0} (n̄_i − 1 + 1/p) is kept as two running
+// integers, sum = Σ_{n̄_i>0} n̄_i and live = #{i : n̄_i > 0}, maintained by
+// set, the one writer of nBar. Because 1/p is a power of two (rounds.P),
+// every term and partial sum of the O(k) walk is an integer, so as long as
+// they stay below 2^53 the walk is exact in float64 and
+// float64(sum−live) + float64(live)·(1/p) is bit-identical to it.
 type Coordinator struct {
 	cfg  Config
 	rc   *rounds.Coordinator
 	nBar []int64 // last reported value per site (0 = none)
+	sum  int64   // Σ n̄_i over n̄_i > 0
+	live int64   // #{i : n̄_i > 0}
 	p    float64
 }
 
@@ -209,22 +218,31 @@ func (c *Coordinator) Receive(from int, m proto.Message, send func(int, proto.Me
 	}
 	switch msg := m.(type) {
 	case UpdateMsg:
-		c.nBar[from] = msg.N
+		c.set(from, msg.N)
 	case AdjustMsg:
-		c.nBar[from] = msg.NBar
+		c.set(from, msg.NBar)
 	}
+}
+
+// set records site i's n̄_i and keeps sum and live in step. A non-positive
+// record (no report, or a restored or corrupt negative one) counts in
+// neither, as the estimator skips it.
+func (c *Coordinator) set(i int, v int64) {
+	if old := c.nBar[i]; old > 0 {
+		c.sum -= old
+		c.live--
+	}
+	if v > 0 {
+		c.sum += v
+		c.live++
+	}
+	c.nBar[i] = v
 }
 
 // Estimate returns n̂ = Σ_i n̂_i with n̂_i = n̄_i − 1 + 1/p (0 when n̄_i does
 // not exist). Unbiased with variance at most k/p² <= (ε_eff·n)².
 func (c *Coordinator) Estimate() float64 {
-	est := 0.0
-	for _, nb := range c.nBar {
-		if nb > 0 {
-			est += float64(nb) - 1 + 1/c.p
-		}
-	}
-	return est
+	return float64(c.sum-c.live) + float64(c.live)*(1/c.p)
 }
 
 // P exposes the coordinator's current sampling probability.
@@ -258,7 +276,7 @@ func (c *Coordinator) RestoreState(from int, m proto.Message) {
 		return
 	}
 	if msg, ok := m.(UpdateMsg); ok && from >= 0 && from < len(c.nBar) {
-		c.nBar[from] = msg.N
+		c.set(from, msg.N)
 	}
 }
 

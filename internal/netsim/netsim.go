@@ -6,7 +6,9 @@
 // settling goroutine to apply, so every cascade runs on the goroutine that
 // feeds the elements. That is the paper's instant-communication model
 // exactly: an element is only injected after the previous cascade has
-// fully quiesced, so per-site goroutines would buy no parallelism. Cluster
+// fully quiesced, so per-site goroutines would buy no parallelism, and an
+// element whose site machine sends nothing costs that machine plus a few
+// loads (no lock, no in-flight token, no settle). Cluster
 // implements the runtime.Transport seam; the injection, quiescence,
 // accounting, and space-probing machinery is the fabric's, so this package
 // only binds the two delivery hooks.

@@ -5,10 +5,10 @@ import "sync/atomic"
 // Barrier realizes the instant-communication quiescence barrier shared by
 // the in-process transports, with fault-middleware awareness.
 //
-// A token is one unit of in-flight work: an injected arrival or an
-// undelivered message. Tokens are either active (moving through sockets,
-// the fabric's down queue, and handlers) or parked (held inside the fault
-// middleware — a delayed frame, a partitioned link's queue). Settle blocks
+// A token is one unit of in-flight work: an undelivered message. Tokens are
+// either active (moving through sockets, the fabric's down queue, and
+// handlers) or parked (held inside the fault middleware — a delayed frame,
+// a partitioned link's queue). Settle blocks
 // until no active token remains, applying queued down-messages itself
 // through the drain hook while it waits (a queued message keeps its token,
 // so no active token means an empty queue); what happens to parked tokens
@@ -34,6 +34,19 @@ import "sync/atomic"
 // Park, and Unpark are single atomic adds; only the settling goroutine
 // ever blocks, on a one-slot signal channel fed by zero transitions and by
 // posts to an empty down queue.
+//
+// Arrivals take no token, and the fabric runs Settle after site work only
+// when busy reports a token active or parked. That is sound because once
+// the site work has returned, every message it emitted has taken its token
+// (Fabric.CountUp runs before the send) and every delivery, on any
+// goroutine, retires its own token only after those of everything it
+// emitted have been added and any park or unpark it makes is done; a
+// message queued on the down queue keeps its token. So reading no active
+// token on the settling goroutine means nothing is moving, nothing is
+// queued and no other goroutine can touch parked any more; reading none
+// parked either means nothing is held — quiescent, under faults too, and
+// Settle would have returned at once. The loads go active first: a park
+// adds to parked before it retires from active.
 type Barrier struct {
 	active atomic.Int64
 	parked atomic.Int64
@@ -85,12 +98,17 @@ func (b *Barrier) signalIfZero(n int64) {
 
 // Add registers n new active tokens. Like sync.WaitGroup, concurrent Add
 // is safe here because a handler's own token is still active while it Adds
-// for the messages it emits, so the count cannot be observed at zero
+// for the messages it emits, and an arrival's site work Adds on the
+// settling goroutine itself, so no waiter observes the count at zero
 // mid-cascade.
 func (b *Barrier) Add(n int) { b.active.Add(int64(n)) }
 
 // Done retires one active token.
 func (b *Barrier) Done() { b.signalIfZero(b.active.Add(-1)) }
+
+// busy reports whether any token is active or parked (see the type comment
+// for why this order of loads is the right one).
+func (b *Barrier) busy() bool { return b.active.Load() != 0 || b.parked.Load() != 0 }
 
 // Park moves one token from active to parked: its message is now held
 // inside the fault middleware instead of moving through the transport.

@@ -12,14 +12,14 @@ import (
 // (internal/runtime/faulty) is the only implementation; a nil middleware
 // means direct delivery.
 //
-// Per-link calls are serial: Up(i, ...) runs under site i's injection mutex
-// (on the injecting goroutine, for arrival- and receive-triggered sends
-// alike), Down under the coordinator mutex. To deliver immediately the
-// middleware calls deliver; to hold the message it queues the frame
-// internally and parks its in-flight token (Fabric.Inflight.Park), then
-// releases later from Release (the barrier's idle hook) by unparking the
-// token and delivering under the link's owning mutex
-// (Fabric.ReleaseUp/ReleaseDown). Once the fabric is Closed, nothing may be
+// Per-link calls are serial: Up(i, ...) runs on the settling goroutine (for
+// arrival- and receive-triggered sends alike), Down under the coordinator
+// mutex. To deliver immediately the middleware calls deliver; to hold the
+// message it queues the frame internally and parks its in-flight token
+// (Fabric.Inflight.Park), then releases later from Release (the barrier's
+// idle hook) by unparking the token and delivering through the link's
+// owner (Fabric.ReleaseUp on the settling goroutine, Fabric.ReleaseDown
+// under the coordinator mutex). Once the fabric is Closed, nothing may be
 // released (check Fabric.Closed).
 type Middleware interface {
 	// Up intercepts a site->coordinator message already charged to the
@@ -49,23 +49,25 @@ type Middleware interface {
 // carries with CountUp/CountDown so Arrive's barrier covers it.
 //
 // The fabric runs no goroutine of its own. Arrivals take the zero-hop fast
-// path: Arrive runs the site machine on the injecting goroutine under that
-// site's mutex, so a message-free arrival — the overwhelmingly common case
-// under the paper's protocols — costs a mutex round trip and the barrier's
-// atomics. The coordinator runs on whichever goroutine delivers to it (the
-// injector on netsim, a connection reader on TCP), under coordMu. Sites
-// receive on the injector too: Post queues a down-message with its token
-// still active, and the barrier, which only the injecting goroutine
-// settles, drains the queue through DeliverDown before every wait. The
-// paper's model lets no element arrive while a message is outstanding, so
-// site goroutines would buy no parallelism.
+// path: Arrive runs the site machine on the injecting goroutine, takes no
+// in-flight token and settles only when the machine sent something (see
+// Barrier), so a message-free arrival — the overwhelmingly common case
+// under the paper's protocols — costs the site machine and a few loads. The
+// coordinator runs on whichever goroutine delivers to it (the injector on
+// netsim, a connection reader on TCP), under coordMu. Sites receive on the
+// injector too: Post queues a down-message with its token still active,
+// and the barrier, which only the injecting goroutine settles, drains the
+// queue through DeliverDown before every wait. The paper's model lets no
+// element arrive while a message is outstanding, so site goroutines would
+// buy no parallelism.
 //
-// Lock order is site mutex -> coordMu -> the down queue's leaf mutex,
-// never the reverse: a coordinator send only enqueues (a Post or a frame
-// append), so nothing under coordMu waits for a site mutex and no cycle
-// exists. Every site-side call (Arrive, DeliverDown, ReleaseUp) runs on the
-// injecting goroutine, so the site mutexes are uncontended; they bracket
-// each site's machine, pending send buffer and middleware link.
+// Every site-side call (Arrive, ArriveBatch, DeliverDown, ReleaseUp) runs
+// on the goroutine that feeds and settles the fabric, which the caller
+// keeps to one at a time (the ingest frontend's feed mutex under
+// concurrent ingest), so site machines, their pending send buffers and
+// their middleware links need no lock. Lock order is coordMu -> the down
+// queue's leaf mutex: a coordinator send only enqueues (a Post or a frame
+// append), so nothing under coordMu waits for anything else.
 type Fabric struct {
 	p proto.Protocol
 
@@ -76,24 +78,18 @@ type Fabric struct {
 	// every handler).
 	SpaceProbeEvery int
 
-	// Inflight counts injected arrivals and undelivered messages;
-	// DeliverUp and DeliverDown call Inflight.Done() after handling each.
-	// Messages held inside the fault middleware park their token instead
-	// (see Barrier).
+	// Inflight counts undelivered messages; DeliverUp and DeliverDown call
+	// Inflight.Done() after handling each. Messages held inside the fault
+	// middleware park their token instead (see Barrier).
 	Inflight Barrier
 
 	tap Tap
 	mw  Middleware
 
-	// siteMu[i] serializes site i's machine, its pending send buffer, and
-	// its middleware link.
-	siteMu []sync.Mutex
-
 	// Per-site send path, built by BindSite: siteOut brackets an emitted
 	// message with CountUp and routes it through the middleware to
 	// siteDeliver; siteFlush (optional) is the transport's coalescing
-	// boundary, called under siteMu after an injection or a delivered
-	// message.
+	// boundary, called after an injection or a delivered message.
 	siteOut     []func(m proto.Message)
 	siteDeliver []func(m proto.Message)
 	siteFlush   []func()
@@ -152,7 +148,6 @@ func NewFabric(p proto.Protocol) *Fabric {
 	f := &Fabric{
 		p:               p,
 		SpaceProbeEvery: 1024,
-		siteMu:          make([]sync.Mutex, k),
 		siteOut:         make([]func(m proto.Message), k),
 		siteDeliver:     make([]func(m proto.Message), k),
 		siteFlush:       make([]func(), k),
@@ -167,9 +162,9 @@ func (f *Fabric) Protocol() proto.Protocol { return f.p }
 // BindSite registers site i's transport delivery hook (carry one emitted
 // message to the coordinator: DeliverUp it, encode a frame, ...) and an
 // optional flush hook marking the transport's coalescing
-// boundary — flush runs under site i's mutex after every inline injection
-// and every delivered message, so buffered frames are always on the wire
-// before the fabric settles. Bind before the first arrival.
+// boundary — flush runs after every inline injection and every delivered
+// message, on the settling goroutine, so buffered frames are always on the
+// wire before the fabric settles. Bind before the first arrival.
 func (f *Fabric) BindSite(i int, deliver func(m proto.Message), flush func()) {
 	f.siteDeliver[i] = deliver
 	f.siteFlush[i] = flush
@@ -241,16 +236,14 @@ func (f *Fabric) ChargeDown(msgs, words int64) {
 	atomic.AddInt64(&f.wordsDown, words)
 }
 
-// ReleaseUp delivers a held site->coordinator message on the calling
-// goroutine under site from's mutex, so the link's delivery resources (a
-// pending frame buffer) stay serialized, and flushes the link. The caller
+// ReleaseUp delivers a held site->coordinator message and flushes the
+// link. It runs on the settling goroutine (the barrier's idle hook), which
+// owns the link's delivery resources (a pending frame buffer). The caller
 // must have unparked the message's token first; the delivery retires it
 // without re-counting cost (the original send was already charged).
 func (f *Fabric) ReleaseUp(from int, m proto.Message) {
-	f.inject(from, func(func(proto.Message)) int64 {
-		f.siteDeliver[from](m)
-		return 0
-	})
+	f.siteDeliver[from](m)
+	f.flushSite(from)
 }
 
 // ReleaseDown delivers a held coordinator->site message under coordMu (see
@@ -301,19 +294,23 @@ func (f *Fabric) CountBroadcast() {
 	atomic.AddInt64(&f.broadcasts, 1)
 }
 
-// inject runs site machine work on the injecting goroutine under the
-// site's mutex, flushing the transport's pending frames before the lock is
-// released so the cascade the work triggered is actually on the wire when
-// the barrier starts settling it.
-func (f *Fabric) inject(site int, work func(out func(proto.Message)) int64) int64 {
-	mu := &f.siteMu[site]
-	mu.Lock()
-	n := work(f.siteOut[site])
-	if fl := f.siteFlush[site]; fl != nil {
+// flushSite runs site i's flush hook, so the cascade the site work just
+// triggered is actually on the wire when the barrier starts settling it.
+func (f *Fabric) flushSite(i int) {
+	if fl := f.siteFlush[i]; fl != nil {
 		fl()
 	}
-	mu.Unlock()
-	return n
+}
+
+// settle is the per-arrival barrier, run once site work and its flush have
+// returned. It calls Settle(false) only when a token is active or parked:
+// otherwise the system is already quiescent (the argument is in the Barrier
+// doc), and Settle would return at once.
+func (f *Fabric) settle() {
+	if f.Inflight.busy() {
+		f.Inflight.Settle(false)
+	}
+	f.raise()
 }
 
 // Arrive implements Transport: it injects one element at site — running the
@@ -325,19 +322,11 @@ func (f *Fabric) inject(site int, work func(out func(proto.Message)) int64) int6
 // in flight inside the fault layer (Settle(false)); the full barrier behind
 // Quiesce settles them.
 func (f *Fabric) Arrive(site int, item int64, value float64) {
-	if f.closed.Load() {
-		panic("runtime: transport used after Close")
-	}
-	f.raise()
+	f.enter()
 	n := atomic.AddInt64(&f.arrivals, 1)
-	f.Inflight.Add(1)
-	f.inject(site, func(out func(proto.Message)) int64 {
-		f.p.Sites[site].Arrive(item, value, out)
-		return 1
-	})
-	f.Inflight.Done()
-	f.Inflight.Settle(false)
-	f.raise()
+	f.p.Sites[site].Arrive(item, value, f.siteOut[site])
+	f.flushSite(site)
+	f.settle()
 	if f.SpaceProbeEvery > 0 && n%int64(f.SpaceProbeEvery) == 0 {
 		f.Probe()
 	}
@@ -349,26 +338,29 @@ func (f *Fabric) Arrive(site int, item int64, value float64) {
 // the run is fed — so round broadcasts land between arrivals exactly as
 // they would element-at-a-time.
 func (f *Fabric) ArriveBatch(site int, item int64, value float64, count int64) {
-	if f.closed.Load() {
-		panic("runtime: transport used after Close")
-	}
-	f.raise()
+	f.enter()
 	every := int64(f.SpaceProbeEvery)
-	s := f.p.Sites[site]
+	s, out := f.p.Sites[site], f.siteOut[site]
 	for count > 0 {
-		f.Inflight.Add(1)
-		consumed := f.inject(site, func(out func(proto.Message)) int64 {
-			return proto.ArriveChunk(s, item, value, count, out)
-		})
-		f.Inflight.Done()
-		f.Inflight.Settle(false)
-		f.raise()
+		consumed := proto.ArriveChunk(s, item, value, count, out)
+		f.flushSite(site)
+		f.settle()
 		n := atomic.AddInt64(&f.arrivals, consumed)
 		count -= consumed
 		if every > 0 && n%every < consumed {
 			f.Probe()
 		}
 	}
+}
+
+// enter guards an injection: use after Close panics instead of hanging on
+// in-flight accounting the closed transport could never retire, and a
+// recorded failure is raised.
+func (f *Fabric) enter() {
+	if f.closed.Load() {
+		panic("runtime: transport used after Close")
+	}
+	f.raise()
 }
 
 // raise panics with the failure a coordinator-path panic left behind (see
@@ -420,16 +412,13 @@ func (f *Fabric) drainDown() bool {
 	return true
 }
 
-// DeliverDown applies one coordinator->site message on the calling
-// goroutine: under site to's mutex it runs the site machine (its sends
-// routed through the site's send path) and the site flush, then retires the
-// message's token. It is DeliverUp's twin; per-link order is the down
-// queue's FIFO order.
+// DeliverDown applies one coordinator->site message on the settling
+// goroutine: it runs the site machine (its sends routed through the site's
+// send path) and the site flush, then retires the message's token. It is
+// DeliverUp's twin; per-link order is the down queue's FIFO order.
 func (f *Fabric) DeliverDown(to int, m proto.Message) {
-	f.inject(to, func(out func(proto.Message)) int64 {
-		f.p.Sites[to].Receive(m, out)
-		return 0
-	})
+	f.p.Sites[to].Receive(m, f.siteOut[to])
+	f.flushSite(to)
 	f.Inflight.Done()
 }
 
@@ -456,8 +445,8 @@ func (f *Fabric) DeliverUp(from int, m proto.Message) {
 
 // exitCoord ends a DeliverUp. A panic on the coordinator path — a failed
 // write-ahead append, a broken socket — must not unwind through the
-// delivering goroutine, which may hold a site mutex (inline delivery) or
-// be a transport reader: it is recorded as the fabric's failure and the
+// delivering goroutine, which may be the feeder in the middle of a site
+// machine (inline delivery) or a transport reader: it is recorded as the fabric's failure and the
 // barrier is aborted, so the settling goroutine wakes and raises it.
 func (f *Fabric) exitCoord() {
 	if p := recover(); p != nil {

@@ -32,16 +32,18 @@ import (
 // a frame for it, under the fabric's coordinator mutex, and its sends are
 // written to the sites' sockets under that mutex. A site-side reader only
 // Posts the decoded message to the fabric's down queue; the feeding
-// goroutine applies it while it settles, under the site's mutex, and writes
-// the site's replies. The reader must never apply a frame itself under
-// site i's mutex. The feeder, holding that mutex, can block writing to
-// site i's full socket towards the coordinator; the reader draining that
-// socket can wait for the coordinator mutex; its holder can block writing
-// to site i's full socket from the coordinator; and the only goroutine that
-// drains that socket, site i's reader, would be waiting for site i's
-// mutex: a cycle (feeder -> coordinator reader -> coordinator mutex -> site
-// reader -> site mutex). Post never blocks, so every socket always has a
-// reader draining it and no cycle exists.
+// goroutine applies it while it settles and writes the site's replies, so
+// a site's machine and its pending frames are touched by the feeder alone
+// and take no lock. The reader must never apply a frame itself: it would
+// race the feeder, and a site lock to stop that would close a cycle. The
+// feeder, holding site i's lock, can block writing to site i's full socket
+// towards the coordinator; the reader draining that socket can wait for
+// the coordinator mutex; its holder can block writing to site i's full
+// socket from the coordinator; and the only goroutine that drains that
+// socket, site i's reader, would be waiting for site i's lock (feeder ->
+// coordinator reader -> coordinator mutex -> site reader -> site lock).
+// Post never blocks, so every socket always has a reader draining it and
+// no cycle exists.
 //
 // For a fixed seed the protocol behaves identically to the sequential and
 // goroutine transports — same per-link message sequences, same Metrics,
@@ -54,11 +56,10 @@ type Loopback struct {
 	coordConns []net.Conn // coordinator-side (accepted) connection per site
 
 	// Pending outbound frames, encoded back-to-back and written in one
-	// syscall at each flush boundary. sitePend[i] is guarded by the
-	// fabric's per-site injection mutex (appended by an arrival or a
-	// delivered message, flushed by the fabric's flush hook under the same
-	// mutex); coordPend/coordDirty are guarded by the fabric's coordinator
-	// mutex.
+	// syscall at each flush boundary. sitePend[i] belongs to the goroutine
+	// that feeds and settles the fabric (appended by an arrival or a
+	// delivered message, flushed by the fabric's flush hook right after);
+	// coordPend/coordDirty are guarded by the fabric's coordinator mutex.
 	sitePend   [][]byte
 	coordPend  [][]byte
 	coordDirty []int
@@ -149,8 +150,8 @@ func StartLoopback(p proto.Protocol) (*Loopback, error) {
 		conn := c.siteConns[i]
 		// Site sends append frames to the connection's pending buffer; the
 		// fabric's flush hook — end of an inline injection or a delivered
-		// message, always under the site mutex — puts them on the wire in
-		// one syscall.
+		// message, always on the feeding goroutine — puts them on the wire
+		// in one syscall.
 		c.BindSite(i,
 			func(m proto.Message) {
 				var err error
