@@ -181,10 +181,12 @@ type Options struct {
 	Seed uint64
 	// Copies enables median boosting for the randomized algorithm of every
 	// tracker (count, frequency, and rank): that many independent protocol
-	// copies run side by side and queries return the median answer,
-	// upgrading the per-instant guarantee to all instants (Section 1.2).
-	// 0 or 1 means no boosting. Ignored by the deterministic and sampling
-	// algorithms, whose guarantees already hold at all instants.
+	// copies run side by side over one fabric and queries return the median
+	// answer, upgrading the per-instant guarantee to all instants (Section
+	// 1.2) at Copies times the communication and space. CountTracker's
+	// ObserveBatch stays O(messages): the copies absorb their quiet gaps in
+	// lockstep. 0 or 1 means no boosting. Ignored by the deterministic and
+	// sampling algorithms, whose guarantees already hold at all instants.
 	Copies int
 	// Robust switches CountTracker to the adversarially robust variant of
 	// the randomized protocol (internal/robust, after arXiv 2311.00346):

@@ -24,18 +24,34 @@ type Msg struct {
 // Words implements proto.Message.
 func (m Msg) Words() int { return m.Inner.Words() }
 
+// quietSkipper is what a copy needs for site.ArriveBatch's lockstep: how
+// many further arrivals it is guaranteed to absorb without a message, and
+// an O(1) way to absorb them (count.Site has both).
+type quietSkipper interface {
+	QuietGap() int64
+	SkipQuiet(count int64)
+}
+
 // site multiplexes one site of every copy. The per-copy wrappers are built
 // once (writing through cur) so the hot path allocates no closures.
 type site struct {
 	copies []proto.Site
+	quiet  []quietSkipper // the copies again, or nil unless every copy is one
 	outs   []func(proto.Message)
 	cur    func(proto.Message)
 }
 
 func newSite(copies []proto.Site) *site {
 	s := &site{copies: copies, outs: make([]func(proto.Message), len(copies))}
-	for i := range copies {
+	var quiet []quietSkipper
+	for i, cp := range copies {
 		s.outs[i] = func(m proto.Message) { s.cur(Msg{Copy: i, Inner: m}) }
+		if q, ok := cp.(quietSkipper); ok {
+			quiet = append(quiet, q)
+		}
+	}
+	if len(quiet) == len(copies) {
+		s.quiet = quiet
 	}
 	return s
 }
@@ -47,6 +63,31 @@ func (s *site) Arrive(item int64, value float64, out func(proto.Message)) {
 		cp.Arrive(item, value, s.outs[i])
 	}
 	s.cur = nil
+}
+
+// ArriveBatch implements proto.BatchSite. When every copy is a
+// quietSkipper the copies move in lockstep: the batch absorbs the minimum
+// quiet gap across copies in O(copies), then feeds one element the normal
+// way, so a run costs O(messages). Otherwise it feeds one element.
+func (s *site) ArriveBatch(item int64, value float64, count int64, out func(proto.Message)) int64 {
+	if s.quiet == nil {
+		s.Arrive(item, value, out)
+		return 1
+	}
+	quiet := count
+	for _, q := range s.quiet {
+		if g := q.QuietGap(); g < quiet {
+			quiet = g
+		}
+	}
+	for _, q := range s.quiet {
+		q.SkipQuiet(quiet)
+	}
+	if quiet == count {
+		return count
+	}
+	s.Arrive(item, value, out)
+	return quiet + 1
 }
 
 // Receive implements proto.Site. A copy index outside the configured range
@@ -71,9 +112,25 @@ func (s *site) SpaceWords() int {
 	return w
 }
 
-// coordinator multiplexes the copies' coordinators.
+// coordinator multiplexes the copies' coordinators. Like site's outs, the
+// per-copy send and broadcast wrappers are built once, writing through
+// send and cast.
 type coordinator struct {
 	copies []proto.Coordinator
+	sends  []func(int, proto.Message)
+	casts  []func(proto.Message)
+	send   func(int, proto.Message)
+	cast   func(proto.Message)
+}
+
+func newCoordinator(copies []proto.Coordinator) *coordinator {
+	c := &coordinator{copies: copies, sends: make([]func(int, proto.Message), len(copies)),
+		casts: make([]func(proto.Message), len(copies))}
+	for i := range copies {
+		c.sends[i] = func(to int, m proto.Message) { c.send(to, Msg{Copy: i, Inner: m}) }
+		c.casts[i] = func(m proto.Message) { c.cast(Msg{Copy: i, Inner: m}) }
+	}
+	return c
 }
 
 // Receive implements proto.Coordinator. Out-of-range copy indices are
@@ -83,10 +140,9 @@ func (c *coordinator) Receive(from int, m proto.Message, send func(int, proto.Me
 	if !ok || bm.Copy < 0 || bm.Copy >= len(c.copies) {
 		return
 	}
-	idx := bm.Copy
-	c.copies[idx].Receive(from, bm.Inner,
-		func(to int, inner proto.Message) { send(to, Msg{Copy: idx, Inner: inner}) },
-		func(inner proto.Message) { broadcast(Msg{Copy: idx, Inner: inner}) })
+	c.send, c.cast = send, broadcast
+	c.copies[bm.Copy].Receive(from, bm.Inner, c.sends[bm.Copy], c.casts[bm.Copy])
+	c.send, c.cast = nil, nil
 }
 
 // Resync implements proto.Resyncer: each copy's resync messages are
@@ -155,11 +211,11 @@ func Wrap(copies []proto.Protocol) proto.Protocol {
 		}
 		sites[i] = newSite(cs)
 	}
-	mc := &coordinator{copies: make([]proto.Coordinator, len(copies))}
+	coords := make([]proto.Coordinator, len(copies))
 	for ci, p := range copies {
-		mc.copies[ci] = p.Coord
+		coords[ci] = p.Coord
 	}
-	return proto.Protocol{Coord: mc, Sites: sites}
+	return proto.Protocol{Coord: newCoordinator(coords), Sites: sites}
 }
 
 // WrapCoordinators fuses just the copies' coordinators — the coordinator
@@ -169,5 +225,5 @@ func WrapCoordinators(coords []proto.Coordinator) proto.Coordinator {
 	if len(coords) == 0 {
 		panic("boost: need at least one copy")
 	}
-	return &coordinator{copies: coords}
+	return newCoordinator(coords)
 }

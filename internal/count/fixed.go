@@ -1,8 +1,9 @@
 // Package count implements the count-tracking protocols of Section 2 of the
 // paper: the randomized O(√k/ε·logN) algorithm (the paper's headline
 // result), the deterministic Θ(k/ε·logN) baseline it improves on, and the
-// median booster that turns the constant-probability guarantee into 1−δ for
-// all time instances.
+// seed layout of the median-boosted copies (NewMedianProtocol, multiplexed
+// by internal/boost) that turn the constant-probability guarantee into 1−δ
+// for all time instances.
 package count
 
 import "disttrack/internal/stats"

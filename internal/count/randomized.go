@@ -1,6 +1,7 @@
 package count
 
 import (
+	"disttrack/internal/boost"
 	"disttrack/internal/proto"
 	"disttrack/internal/rounds"
 	"disttrack/internal/stats"
@@ -294,4 +295,26 @@ func NewProtocol(cfg Config, seed uint64) (proto.Protocol, *Coordinator) {
 		sites[i] = NewSite(cfg, root.Split())
 	}
 	return proto.Protocol{Coord: coord, Sites: sites}, coord
+}
+
+// NewMedianProtocol assembles the median-boosted tracker (paper Section
+// 1.2): c independent copies fused by boost.Wrap, plus the copies'
+// coordinators, whose median estimate is correct at all instants with
+// probability 1−δ when c = O(log(logN/(δε))). Site i's RNG is the i-th split
+// of seed, and its copy j draws that RNG's j-th split.
+func NewMedianProtocol(cfg Config, c int, seed uint64) (proto.Protocol, []*Coordinator) {
+	cfg.validate()
+	ps, coords := make([]proto.Protocol, c), make([]*Coordinator, c)
+	for j := range ps {
+		coords[j] = NewCoordinator(cfg)
+		ps[j] = proto.Protocol{Coord: coords[j], Sites: make([]proto.Site, cfg.K)}
+	}
+	root := stats.New(seed)
+	for i := 0; i < cfg.K; i++ {
+		rng := root.Split()
+		for _, p := range ps {
+			p.Sites[i] = NewSite(cfg, rng.Split())
+		}
+	}
+	return boost.Wrap(ps), coords
 }

@@ -6,10 +6,13 @@
 // cmd/tracksim and the integration suites pick it up from here.
 //
 // Delegation rule: the in-process assemblies (Protocol, Tree) call the
-// implementing package's own NewProtocol / NewTreeProtocol rather than
-// looping over Site. Those constructors own the seed → per-site RNG split
-// order, and with it every message a seeded run sends; assembling the same
-// machines here would be a second copy of that order waiting to drift.
+// implementing package's own NewProtocol / NewTreeProtocol — and, for a
+// median-boosted family whose package has one, its boosted assembly
+// (count.NewMedianProtocol) — rather than looping over Site. Those
+// constructors own the seed → per-site RNG split order, and with it every
+// message a seeded run sends; assembling the same machines here would be a
+// second copy of that order waiting to drift. Every Copies > 1 family runs
+// on the one booster, internal/boost, whichever side owns the seeds.
 // Coordinator, Site and Aggregator build the single machines a distributed
 // deployment (tracksim serve / connect / aggregate) places in separate
 // processes; Site takes the caller's RNG because each process seeds its own.
@@ -17,9 +20,9 @@
 // Queries convention: a Queries field is the bound method of the coordinator
 // just built (coord.Estimate, coord.Rank, ...) wherever the coordinator has
 // one, so the facade's query path is the same call it always was; only the
-// sampler's Quantile (rank.Bisect over its Rank) and the boosted medians are
-// closures. A nil field means the family's problem does not answer that
-// query.
+// sampler's Quantile (rank.Bisect over its Rank) and the boosted medians
+// (median, over the copies' own bound methods) are closures. A nil field
+// means the family's problem does not answer that query.
 package registry
 
 import (
@@ -96,11 +99,15 @@ type family struct {
 	// noMerge names the summaries that keep the family out of a tree; set
 	// exactly when tree and agg are nil.
 	noMerge string
-	// Copies > 1 is served by boosted when the implementing package has a
-	// median booster of its own, by internal/boost over independent copies
-	// when wrap is set, and ignored otherwise.
-	boosted *family
+	// wrap marks a family that Copies > 1 median-boosts: s.Copies
+	// independent copies fused by internal/boost and answered by median.
+	// Families without it ignore Copies. wrapped, when set, is the
+	// implementing package's own boosted assembly, returning the fused star
+	// and the copies' coordinators; it owns the copies' seed layout (the
+	// delegation rule). Without it copy i takes the i-th draw of
+	// stats.New(s.Seed) as its seed.
 	wrap    bool
+	wrapped func(Spec) (proto.Protocol, []proto.Coordinator)
 
 	queries func(proto.Coordinator) Queries
 	coord   func(Spec) proto.Coordinator
@@ -125,7 +132,15 @@ func (s Spec) robust() robust.Config {
 // families is the table: one entry per tracker family, the paper's own
 // randomized protocols first (lookup scans in order).
 var families = []family{
-	{problem: Count, algorithm: Randomized, boosted: &countMedian,
+	{problem: Count, algorithm: Randomized, wrap: true,
+		wrapped: func(s Spec) (proto.Protocol, []proto.Coordinator) {
+			p, cs := count.NewMedianProtocol(s.count(), s.Copies, s.Seed)
+			coords := make([]proto.Coordinator, len(cs))
+			for i, c := range cs {
+				coords[i] = c
+			}
+			return p, coords
+		},
 		queries: func(c proto.Coordinator) Queries { return Queries{Count: c.(*count.Coordinator).Estimate} },
 		coord:   func(s Spec) proto.Coordinator { return count.NewCoordinator(s.count()) },
 		site:    func(s Spec, rng *stats.RNG) proto.Site { return count.NewSite(s.count(), rng) },
@@ -193,14 +208,6 @@ var families = []family{
 	}),
 }
 
-// countMedian is count/randomized under Copies > 1: the count package's own
-// median booster, which multiplexes the copies inside one site machine.
-var countMedian = family{
-	queries: func(c proto.Coordinator) Queries { return Queries{Count: c.(*count.MedianCoordinator).Estimate} },
-	coord:   func(s Spec) proto.Coordinator { return count.NewMedianCoordinator(s.count(), s.Copies) },
-	flat:    func(s Spec) proto.Protocol { return first(count.NewMedianProtocol(s.count(), s.Copies, s.Seed)) },
-}
-
 // sampling is the continuous-sampling baseline: one protocol whose retained
 // sample answers all three problems, entered once per problem with that
 // problem's queries. Its error is set by the retained-sample size, not a
@@ -239,6 +246,11 @@ func median(qs []Queries) Queries {
 		return stats.Median(ests)
 	}
 	var m Queries
+	if qs[0].Count != nil {
+		m.Count = func() float64 {
+			return over(func(q Queries) float64 { return q.Count() })
+		}
+	}
 	if qs[0].Freq != nil {
 		m.Freq = func(item int64) float64 {
 			return over(func(q Queries) float64 { return q.Freq(item) })
@@ -311,15 +323,11 @@ func (s Spec) Check(tree bool) error {
 	return nil
 }
 
-// family resolves s to the entry that builds it, a package's own median
-// booster included.
+// family resolves s to the entry that builds it.
 func (s Spec) family() *family {
 	f := s.lookup()
 	if f == nil {
 		panic("registry: " + s.Check(false).Error())
-	}
-	if s.Copies > 1 && f.boosted != nil {
-		return f.boosted
 	}
 	return f
 }
@@ -357,10 +365,18 @@ func Site(s Spec, rng *stats.RNG) proto.Site {
 // Spec.Seed.
 func Protocol(s Spec) (proto.Protocol, Queries) {
 	f := s.family()
-	if s.Copies > 1 && f.wrap {
-		return copies(s, f.oneFlat, boost.Wrap)
+	switch {
+	case s.Copies <= 1 || !f.wrap:
+		return f.oneFlat(s)
+	case f.wrapped != nil:
+		p, cs := f.wrapped(s)
+		qs := make([]Queries, len(cs))
+		for i, c := range cs {
+			qs[i] = f.queries(c)
+		}
+		return p, median(qs)
 	}
-	return f.oneFlat(s)
+	return copies(s, f.oneFlat, boost.Wrap)
 }
 
 // Tree assembles the two-level tree over K leaves, fanout per aggregator;

@@ -184,6 +184,26 @@ func TestBoostedFamilies(t *testing.T) {
 	}
 }
 
+// TestMedianBoosterAllInstants checks the boosted count's guarantee: with
+// enough copies EVERY instant is within ε (the 1−δ all-instants claim of
+// the paper's Section 1.2; a failure here would be a once-in-many-runs
+// event).
+func TestMedianBoosterAllInstants(t *testing.T) {
+	const k, eps, n = 8, 0.15, 20000
+	p, q := Protocol(Spec{Problem: Count, Algorithm: Randomized, K: k, Eps: eps, Copies: 9, Seed: 23})
+	h := sim.New(p)
+	events := workload.Config{N: n, Placement: workload.RoundRobin(k)}.Events()
+	bad := 0
+	h.Run(events, func(arrived int64) {
+		if stats.RelErr(q.Count(), float64(arrived)) > eps {
+			bad++
+		}
+	})
+	if bad > 0 {
+		t.Fatalf("median-boosted tracker out of eps-band at %d/%d instants", bad, n)
+	}
+}
+
 func TestCheck(t *testing.T) {
 	for _, tc := range []struct {
 		name string

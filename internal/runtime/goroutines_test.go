@@ -48,6 +48,22 @@ func settleGoroutines(want int) int {
 	}
 }
 
+// stableGoroutines polls runtime.NumGoroutine until it has read the same
+// count for 20 ms running (goroutines an earlier test joined may still be
+// leaving) or a deadline passes, and returns the last reading: the
+// baseline settleGoroutines then counts from.
+func stableGoroutines() int {
+	deadline := time.Now().Add(5 * time.Second)
+	n, since := goruntime.NumGoroutine(), time.Now()
+	for time.Since(since) < 20*time.Millisecond && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		if m := goruntime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
 // TestFabricGoroutines pins how many goroutines each in-process fabric
 // runs: the goroutine transport runs none (down-messages queue on the
 // fabric and the settling goroutine applies them), the TCP loopback runs
@@ -71,7 +87,7 @@ func TestFabricGoroutines(t *testing.T) {
 	}
 	for _, mt := range mounts {
 		t.Run(mt.name, func(t *testing.T) {
-			base := settleGoroutines(goruntime.NumGoroutine())
+			base := stableGoroutines()
 			sites := make([]proto.Site, k)
 			for i := range sites {
 				sites[i] = &tickSite{}

@@ -22,7 +22,7 @@ const (
 	tagCountUpdate     byte = 3
 	tagCountAdjust     byte = 4
 	tagCountDetReport  byte = 5
-	tagCountCopy       byte = 6
+	tagCountCopy       byte = 6 // decode-only alias of tagBoost
 	tagFreqCounter     byte = 7
 	tagFreqSample      byte = 8
 	tagFreqReset       byte = 9
@@ -167,34 +167,6 @@ func init() {
 		func(b []byte) (proto.Message, []byte, error) {
 			n, b, err := ReadInt(b)
 			return count.DetReportMsg{N: n}, b, err
-		})
-
-	Register(tagCountCopy, count.CopyMsg{},
-		func(b []byte, m proto.Message) []byte {
-			cm := m.(count.CopyMsg)
-			b = AppendInt(b, int64(cm.Copy))
-			b, err := Append(b, cm.Inner)
-			if err != nil {
-				panic(err) // a CopyMsg can only wrap registered count messages
-			}
-			return b
-		},
-		func(b []byte) (proto.Message, []byte, error) {
-			idx, b, err := ReadInt(b)
-			if err != nil {
-				return nil, b, err
-			}
-			if err := checkCopy(idx); err != nil {
-				return nil, b, err
-			}
-			inner, b, err := Decode(b)
-			if err != nil {
-				return nil, b, err
-			}
-			if err := checkInner(inner); err != nil {
-				return nil, b, err
-			}
-			return count.CopyMsg{Copy: int(idx), Inner: inner}, b, nil
 		})
 
 	Register(tagFreqCounter, freq.CounterMsg{},
@@ -392,6 +364,12 @@ func init() {
 			}
 			return boost.Msg{Copy: int(idx), Inner: inner}, b, nil
 		})
+
+	// Tag 6 carried count's former median multiplexer, now replaced by
+	// internal/boost. Its frames have tag 16's layout (copy index, then the
+	// inner frame), so the tag stays reserved and decodes as a boost.Msg:
+	// streams and Persist stores written with it still read.
+	byTag[tagCountCopy] = byTag[tagBoost]
 
 	Register(tagHello, Hello{},
 		func(b []byte, m proto.Message) []byte {
@@ -615,12 +593,12 @@ func checkCopy(idx int64) error {
 
 // checkInner rejects a multiplexer wrapper nested inside another wrapper,
 // and persistence records (Logged, SnapMeta) nested inside a multiplexer.
-// The protocols never produce either (boost and median wrap base messages
-// only; persistence records wrap, they are never wrapped), and refusing
-// them bounds decode recursion on corrupt input.
+// The protocols never produce either (boost wraps base messages only;
+// persistence records wrap, they are never wrapped), and refusing them
+// bounds decode recursion on corrupt input.
 func checkInner(inner proto.Message) error {
 	switch inner.(type) {
-	case count.CopyMsg, boost.Msg, Logged, SnapMeta:
+	case boost.Msg, Logged, SnapMeta:
 		return fmt.Errorf("wire: nested multiplexer message %T", inner)
 	}
 	return nil

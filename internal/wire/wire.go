@@ -156,11 +156,12 @@ func (d *Decoder) Decode(b []byte) (proto.Message, []byte, error) {
 }
 
 // Registered returns one prototype per registered message type, in tag
-// order. Tests use it to enumerate the full wire vocabulary.
+// order (a decode-only alias tag is not listed). Tests use it to enumerate
+// the full wire vocabulary.
 func Registered() []proto.Message {
 	var ms []proto.Message
-	for _, e := range byTag {
-		if e != nil {
+	for tag, e := range byTag {
+		if e != nil && int(e.tag) == tag {
 			ms = append(ms, e.prototype)
 		}
 	}

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,8 +20,8 @@ import (
 	"disttrack/internal/wire"
 )
 
-// genInner builds a random non-wrapper message (CopyMsg and boost.Msg wrap
-// exactly these in the real protocols).
+// genInner builds a random non-wrapper message (boost.Msg wraps exactly
+// these in the real protocols).
 func genInner(r *rand.Rand) proto.Message {
 	switch r.Intn(4) {
 	case 0:
@@ -78,8 +79,6 @@ func gen(r *rand.Rand, prototype proto.Message) proto.Message {
 		return robust.AdjustMsg{NBar: r.Int63() - r.Int63()}
 	case count.DetReportMsg:
 		return count.DetReportMsg{N: r.Int63()}
-	case count.CopyMsg:
-		return count.CopyMsg{Copy: r.Intn(64), Inner: genInner(r)}
 	case freq.CounterMsg:
 		return freq.CounterMsg{Item: r.Int63(), Count: r.Int63n(1 << 30)}
 	case freq.SampleMsg:
@@ -153,10 +152,8 @@ func overheadBytes(m proto.Message) int {
 	switch msg := m.(type) {
 	case freq.ResetMsg:
 		return -8
-	case count.CopyMsg:
-		return 8 + 1 + overheadBytes(msg.Inner) // copy index + inner tag
 	case boost.Msg:
-		return 8 + 1 + overheadBytes(msg.Inner)
+		return 8 + 1 + overheadBytes(msg.Inner) // copy index + inner tag
 	case rank.SummaryMsg:
 		return 8 // buffer count
 	case *rank.DetSnapshotMsg:
@@ -278,6 +275,33 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := wire.Decode(rec); err == nil {
 		t.Error("nested Logged record did not error")
+	}
+}
+
+// TestLegacyCountCopyFrame pins the reserved tag 6: frames of count's old
+// median multiplexer, laid out as the copy index then the inner frame, must
+// decode as the boost.Msg that now carries the same copy and inner message,
+// bare and inside the Logged records of a Persist store.
+func TestLegacyCountCopyFrame(t *testing.T) {
+	word := func(b []byte, v int64) []byte {
+		return binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	inner := word([]byte{3}, 41) // count.UpdateMsg{N: 41}
+	frame := append(word([]byte{6}, 2), inner...)
+	want := boost.Msg{Copy: 2, Inner: count.UpdateMsg{N: 41}}
+	got, rest, err := wire.Decode(frame)
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, proto.Message(want)) {
+		t.Fatalf("tag-6 frame decoded to %#v (rest %d, err %v), want %#v", got, len(rest), err, want)
+	}
+	logged := append(word([]byte{23}, 5), frame...)
+	got, rest, err = wire.Decode(logged)
+	if err != nil || len(rest) != 0 || !reflect.DeepEqual(got, proto.Message(wire.Logged{From: 5, Msg: want})) {
+		t.Fatalf("logged tag-6 frame decoded to %#v (rest %d, err %v)", got, len(rest), err)
+	}
+	// The alias re-encodes under tag 16 with the same payload.
+	re, err := wire.Append(nil, got.(wire.Logged).Msg)
+	if err != nil || re[0] != 16 || !bytes.Equal(re[1:], frame[1:]) {
+		t.Fatalf("re-encoded %x (err %v), want tag 16 then %x", re, err, frame[1:])
 	}
 }
 

@@ -379,7 +379,7 @@ func TestTransportIndependenceRobust(t *testing.T) {
 }
 
 // TestTransportIndependenceBoosted covers the median-boosted multiplexer
-// (CopyMsg routing) across transports.
+// (boost.Msg copy routing) across transports.
 func TestTransportIndependenceBoosted(t *testing.T) {
 	compareTransports(t, func(tr Transport) runResult { return runCount(t, tr, 3, false) })
 }
